@@ -16,6 +16,7 @@
 #include <fstream>
 #include <system_error>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 using namespace intro;
@@ -383,6 +384,20 @@ bool decodeMetricsSection(const uint8_t *Data, size_t Size,
   return R.Ok && R.Pos == R.Size;
 }
 
+/// Writes all of \p Bytes to \p Fd, retrying short writes and EINTR.
+bool writeAll(int Fd, const std::vector<uint8_t> &Bytes) {
+  size_t Done = 0;
+  while (Done < Bytes.size()) {
+    ssize_t Count = ::write(Fd, Bytes.data() + Done, Bytes.size() - Done);
+    if (Count < 0 && errno == EINTR)
+      continue;
+    if (Count <= 0)
+      return false;
+    Done += static_cast<size_t>(Count);
+  }
+  return true;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -535,24 +550,32 @@ bool ResultCache::store(const Fingerprint &Fp, const CachedPassA &Entry) {
 
   std::vector<uint8_t> Bytes = encodeEntry(Fp, Entry);
 
-  // Unique temp name per process and per store: concurrent writers each
-  // write their own temp file, and the final rename is atomic within the
-  // directory — last write wins, readers never see a torn entry.
-  std::string TempPath =
-      (fs::path(Opts.Directory) /
-       (toHex(Fp) + ".tmp." + std::to_string(::getpid()) + "." +
-        std::to_string(TempSeq.fetch_add(1, std::memory_order_relaxed))))
-          .string();
-  {
-    std::ofstream TmpOut(TempPath, std::ios::binary | std::ios::trunc);
-    if (!TmpOut ||
-        !TmpOut.write(reinterpret_cast<const char *>(Bytes.data()),
-                      static_cast<std::streamsize>(Bytes.size()))) {
-      TRACE_COUNTER("cache.store_failure", 1);
-      NStoreFailures.fetch_add(1, std::memory_order_relaxed);
-      std::remove(TempPath.c_str());
-      return false;
-    }
+  // Each store writes a temp file it created exclusively (O_EXCL), so no
+  // two writers — other processes, or other handles in this one — ever
+  // share a temp file; the final rename is atomic within the directory:
+  // last write wins, readers never see a torn entry.
+  std::string TempPath;
+  int Fd;
+  do {
+    TempPath =
+        (fs::path(Opts.Directory) /
+         (toHex(Fp) + ".tmp." + std::to_string(::getpid()) + "." +
+          std::to_string(TempSeq.fetch_add(1, std::memory_order_relaxed))))
+            .string();
+    Fd = ::open(TempPath.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
+                0666);
+  } while (Fd < 0 && (errno == EEXIST || errno == EINTR));
+  if (Fd < 0) {
+    TRACE_COUNTER("cache.store_failure", 1);
+    NStoreFailures.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+  bool Written = writeAll(Fd, Bytes);
+  if (::close(Fd) != 0 || !Written) {
+    TRACE_COUNTER("cache.store_failure", 1);
+    NStoreFailures.fetch_add(1, std::memory_order_relaxed);
+    std::remove(TempPath.c_str());
+    return false;
   }
   std::string FinalPath = entryPath(Fp);
   fs::rename(TempPath, FinalPath, Ec);

@@ -31,9 +31,11 @@
 /// caller re-solves and re-stores.  The cache can therefore be deleted,
 /// truncated, or bit-flipped at any time without affecting correctness.
 ///
-/// **Writers are atomic.**  store() encodes into a unique temp file in the
-/// cache directory and renames it over the final name, so concurrent
-/// writers are last-write-wins and a reader never observes a torn entry.
+/// **Writers are atomic.**  store() encodes into a temp file it created
+/// exclusively (O_EXCL) in the cache directory — no two writers, in one
+/// process or in several, ever share one — and renames it over the final
+/// name, so concurrent writers are last-write-wins and a reader never
+/// observes a torn entry.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -127,7 +129,7 @@ private:
   std::atomic<uint64_t> NStores{0};
   std::atomic<uint64_t> NStoreFailures{0};
   std::atomic<uint64_t> NEvictions{0};
-  std::atomic<uint64_t> TempSeq{0}; ///< Uniquifies temp names in-process.
+  std::atomic<uint64_t> TempSeq{0}; ///< Next temp-name suffix to claim.
 };
 
 /// Encodes \p Entry into the on-disk byte format for key \p Fp.

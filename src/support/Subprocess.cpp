@@ -22,6 +22,7 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/resource.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -108,6 +109,13 @@ void applyChildLimits(const ChildLimits &Limits) {
 /// handlers, stdio flushes, and static destructors from running twice.
 [[noreturn]] void runChild(int WriteFd, const ChildLimits &Limits,
                            const ChildPayload &Payload) {
+  // Keep stdio and the report pipe (moved to fd 3), close everything
+  // else: a descriptor inherited through fork — another supervisor
+  // thread's report pipe, a daemon's sockets — must not live as long as
+  // this child does.
+  ::dup2(WriteFd, 3);
+  WriteFd = 3;
+  ::close_range(4, ~0U, 0);
   // A parent that gave up must not turn our report write into SIGPIPE.
   ::signal(SIGPIPE, SIG_IGN);
   applyChildLimits(Limits);
@@ -210,108 +218,80 @@ ChildResult intro::runSupervisedChild(const ChildLimits &Limits,
     runChild(Pipe[1], Limits, Payload); // Never returns.
   }
 
-  // --- Parent: drain the pipe under the watchdog, then reap. --------------
+  // --- Parent: one wait loop over the report pipe and the child's pidfd. ---
+  // The loop ends once the child is reaped and the pipe drained.  A reaped
+  // child's output is complete, so the pipe is emptied without blocking
+  // and closed even if someone else (a grandchild) still holds the write
+  // end.  Without a pidfd (EMFILE, ...) the slot is -1, which poll()
+  // ignores, and the reap probe runs once per 50 ms slice instead.
+  pollfd Fds[2] = {{Pipe[0], POLLIN, 0},
+                   {static_cast<int>(::syscall(SYS_pidfd_open, Pid, 0)),
+                    POLLIN, 0}};
   ::close(Pipe[1]);
-  int ReadFd = Pipe[0];
+  ::fcntl(Pipe[0], F_SETFL, O_NONBLOCK);
   bool WatchdogFired = false;
-  bool CancelFired = false;
-
+  bool Killed = false; // By the watchdog or by the cancel switch.
+  bool Reaped = false;
+  int Status = 0;
   {
     TRACE_SPAN("supervise.wait");
     char Buffer[4096];
-    while (true) {
-      double Remaining = -1; // poll() "infinite".
-      if (Limits.WallDeadlineSeconds > 0) {
+    while (!Reaped) {
+      double Remaining = -1;
+      if (!Killed && Limits.WallDeadlineSeconds > 0) {
         Remaining = Limits.WallDeadlineSeconds - Clock.seconds();
-        if (Remaining <= 0 && !WatchdogFired) {
+        if (Remaining <= 0) {
           TRACE_SPAN("supervise.kill");
           TRACE_INSTANT("supervise.watchdog_fired", 1);
           ::kill(Pid, SIGKILL);
-          WatchdogFired = true;
-          Remaining = -1; // Kill delivered; drain to EOF unbounded.
+          WatchdogFired = Killed = true;
         }
       }
       // Cancel kill switch: like the watchdog the parent pulls the trigger,
       // but the classification stays Signalled/SIGKILL — a cancel is the
       // caller's decision, not a resource verdict, and callers that cancel
       // interpret the death themselves.
-      if (Limits.Cancel && !WatchdogFired && !CancelFired &&
+      if (!Killed && Limits.Cancel &&
           Limits.Cancel->load(std::memory_order_relaxed)) {
         TRACE_INSTANT("supervise.cancel_kill", 1);
         ::kill(Pid, SIGKILL);
-        CancelFired = true;
-        Remaining = -1; // Kill delivered; drain to EOF unbounded.
+        Killed = true;
       }
-      pollfd Poll;
-      Poll.fd = ReadFd;
-      Poll.events = POLLIN;
-      Poll.revents = 0;
-      // Cap the slice so the deadline (and the cancel flag) is honored
-      // within ~50ms even if the child neither writes nor exits.
-      int SliceCapMs = Limits.Cancel && !CancelFired ? 50 : 1000;
-      int TimeoutMs =
-          (Remaining < 0) ? SliceCapMs
-                          : static_cast<int>(std::min(Remaining, 0.05) * 1000);
-      int Ready = ::poll(&Poll, 1, TimeoutMs < 1 ? 1 : TimeoutMs);
-      if (Ready < 0) {
-        if (errno == EINTR)
+      // Slice the wait so the deadline and the cancel flag are sampled at
+      // least every 50 ms; once a kill is in flight (or with nothing to
+      // sample) only the pipe and the pidfd wake the loop.
+      int TimeoutMs = -1;
+      if (!Killed && Remaining > 0)
+        TimeoutMs =
+            std::max(1, static_cast<int>(std::min(Remaining, 0.05) * 1000));
+      else if ((!Killed && Limits.Cancel) || Fds[1].fd < 0)
+        TimeoutMs = 50;
+      // A failed or interrupted poll costs one spurious round: every probe
+      // below is non-blocking.
+      (void)::poll(Fds, 2, TimeoutMs);
+      // Reap before reading: a child reaped here wrote everything it ever
+      // will, so the drain below sees all of it.
+      pid_t Got = ::waitpid(Pid, &Status, WNOHANG);
+      Reaped = Got == Pid || (Got < 0 && errno != EINTR);
+      while (Fds[0].fd >= 0) {
+        ssize_t Count = ::read(Fds[0].fd, Buffer, sizeof(Buffer));
+        if (Count > 0) {
+          Result.Output.append(Buffer, static_cast<size_t>(Count));
+          if (Sink)
+            Sink(std::string_view(Buffer, static_cast<size_t>(Count)));
           continue;
-        break;
+        }
+        if (Count < 0 && errno == EINTR)
+          continue;
+        if (Count < 0 && errno == EAGAIN && !Reaped)
+          break; // Drained for now; the child is still running.
+        ::close(Fds[0].fd); // EOF, hard error, or reaped and emptied.
+        Fds[0].fd = -1;
       }
-      if (Ready == 0)
-        continue; // Timeout slice: re-check the deadline.
-      ssize_t Count = ::read(ReadFd, Buffer, sizeof(Buffer));
-      if (Count > 0) {
-        Result.Output.append(Buffer, static_cast<size_t>(Count));
-        if (Sink)
-          Sink(std::string_view(Buffer, static_cast<size_t>(Count)));
-        continue;
-      }
-      if (Count < 0 && errno == EINTR)
-        continue;
-      break; // EOF (child exited or closed) or hard read error.
     }
   }
-  ::close(ReadFd);
-
-  // The child may linger briefly after closing its pipe; the reap below is
-  // bounded because either it exited (EOF path) or SIGKILL is in flight
-  // (watchdog path).  A spinning child that closed its pipe but never
-  // exits is still covered: arm the watchdog kill on the way in.
-  if ((Limits.WallDeadlineSeconds > 0 || Limits.Cancel) && !WatchdogFired &&
-      !CancelFired) {
-    // EOF before deadline: give the child the rest of its deadline to
-    // exit, then kill.  Poll waitpid in 10ms slices on the steady clock,
-    // honoring the cancel switch the same way the drain loop does.
-    int Status = 0;
-    while (true) {
-      pid_t Reaped = ::waitpid(Pid, &Status, WNOHANG);
-      if (Reaped == Pid || (Reaped < 0 && errno != EINTR))
-        break;
-      if (Limits.WallDeadlineSeconds > 0 &&
-          Clock.seconds() >= Limits.WallDeadlineSeconds) {
-        TRACE_INSTANT("supervise.watchdog_fired", 1);
-        ::kill(Pid, SIGKILL);
-        WatchdogFired = true;
-        Reaped = ::waitpid(Pid, &Status, 0);
-        break;
-      }
-      if (Limits.Cancel && Limits.Cancel->load(std::memory_order_relaxed)) {
-        TRACE_INSTANT("supervise.cancel_kill", 1);
-        ::kill(Pid, SIGKILL);
-        Reaped = ::waitpid(Pid, &Status, 0);
-        break;
-      }
-      ::usleep(10'000);
-    }
-    classify(Result, Status, WatchdogFired, Limits);
-    Result.Seconds = Clock.seconds();
-    return Result;
-  }
-
-  int Status = 0;
-  while (::waitpid(Pid, &Status, 0) < 0 && errno == EINTR) {
-  }
+  if (Fds[1].fd >= 0)
+    ::close(Fds[1].fd);
   classify(Result, Status, WatchdogFired, Limits);
   Result.Seconds = Clock.seconds();
   return Result;

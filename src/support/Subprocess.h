@@ -12,12 +12,21 @@
 /// service.  runSupervisedChild() forks, applies setrlimit guards
 /// (RLIMIT_AS, RLIMIT_CPU) in the child, runs a payload that writes its
 /// result to a pipe, and supervises from the parent with a monotonic
-/// watchdog deadline — draining the pipe the whole time so a chatty child
-/// can never deadlock against a full pipe buffer.
+/// watchdog deadline.
 ///
-/// The child is always reaped (waitpid until the exact pid is collected),
-/// so supervision never leaks zombies; supervise_tests asserts this with
-/// waitpid(-1) accounting after every scenario.
+/// The parent waits in one poll() loop over two descriptors: the report
+/// pipe, drained the whole time so a chatty child can never deadlock
+/// against a full pipe buffer, and a pidfd for the child, which wakes the
+/// loop the moment the child exits.  The loop ends when the exact pid is
+/// reaped (so supervision never leaks zombies; supervise_tests asserts
+/// this with waitpid(-1) accounting after every scenario).  A reaped
+/// child's output is complete, so the pipe is emptied without blocking
+/// rather than waited on for EOF.  The deadline and the cancel flag are
+/// sampled at least every 50 ms.  Without a pidfd (pidfd_open failed) the
+/// slot is left out of the poll and the same loop probes waitpid once per
+/// slice.  The child closes every inherited descriptor above stderr
+/// except its own report pipe, so no other job's pipe (nor a daemon's
+/// sockets) lives on in it.
 ///
 /// Classification, not diagnosis: the parent reports *how* the child ended
 /// (clean exit / nonzero exit / signal / out-of-memory / watchdog kill);

@@ -24,12 +24,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <fcntl.h>
+#include <filesystem>
 #include <set>
 #include <sstream>
 #include <string>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
@@ -209,6 +214,178 @@ TEST(Subprocess, LargeChildOutputDoesNotDeadlockThePipe) {
   });
   EXPECT_EQ(Result.Status, ChildStatus::CleanExit);
   EXPECT_EQ(Result.Output.size(), Bytes);
+  expectNoLeakedChildren();
+}
+
+namespace {
+
+/// A payload that closes its report pipe (and every other descriptor above
+/// stderr), so the parent sees EOF long before the child exits, then hangs.
+int closePipeAndHang(std::ostream &Out) {
+  Out << "closing the pipe\n";
+  Out.flush();
+  ::close_range(3, ~0U, 0);
+  for (;;)
+    pause();
+}
+
+} // namespace
+
+TEST(Subprocess, ChildDoesNotInheritTheParentsDescriptors) {
+  // A descriptor open in the parent at fork time — here a pipe; in
+  // production another supervisor thread's report pipe or a daemon's
+  // sockets — is closed in the child before the payload runs.
+  int Pipe[2];
+  ASSERT_EQ(pipe(Pipe), 0);
+  // Above fd 3, where the child keeps its own report pipe.
+  int Foreign[2] = {fcntl(Pipe[0], F_DUPFD, 64), fcntl(Pipe[1], F_DUPFD, 64)};
+  ::close(Pipe[0]);
+  ::close(Pipe[1]);
+  ASSERT_GE(Foreign[0], 64);
+  ASSERT_GE(Foreign[1], 64);
+  ChildLimits Limits;
+  Limits.WallDeadlineSeconds = 60;
+  ChildResult Result = runSupervisedChild(Limits, [&](std::ostream &Out) {
+    bool Closed = true;
+    for (int Fd : Foreign) {
+      errno = 0;
+      Closed &= fcntl(Fd, F_GETFD) == -1 && errno == EBADF;
+    }
+    Out << (Closed ? "closed" : "inherited");
+    return 0;
+  });
+  ::close(Foreign[0]);
+  ::close(Foreign[1]);
+  EXPECT_EQ(Result.Status, ChildStatus::CleanExit);
+  EXPECT_EQ(Result.Output, "closed");
+  expectNoLeakedChildren();
+}
+
+TEST(Subprocess, WatchdogKillsAChildThatClosedItsPipeAndHangs) {
+  ChildLimits Limits;
+  Limits.WallDeadlineSeconds = 0.3;
+  ChildResult Result = runSupervisedChild(Limits, closePipeAndHang);
+  EXPECT_EQ(Result.Status, ChildStatus::WatchdogKill);
+  EXPECT_EQ(Result.TermSignal, SIGKILL);
+  EXPECT_EQ(Result.Output, "closing the pipe\n");
+  expectNoLeakedChildren();
+}
+
+TEST(Subprocess, CancelKillsAChildThatClosedItsPipeAndHangs) {
+  std::atomic<bool> Cancel{false};
+  ChildLimits Limits;
+  Limits.Cancel = &Cancel;
+  std::thread Canceller([&Cancel] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    Cancel.store(true);
+  });
+  ChildResult Result = runSupervisedChild(Limits, closePipeAndHang);
+  Canceller.join();
+  EXPECT_EQ(Result.Status, ChildStatus::Signalled);
+  EXPECT_EQ(Result.TermSignal, SIGKILL);
+  EXPECT_EQ(Result.Output, "closing the pipe\n");
+  expectNoLeakedChildren();
+}
+
+TEST(Subprocess, ReapedChildIsNotHeldUpByAGrandchildHoldingThePipe) {
+  // The grandchild keeps the report pipe's write end open forever, so the
+  // pipe never reaches EOF; the child itself exits at once.  Supervision
+  // must end on the reap, with everything the child wrote.
+  ChildLimits Limits;
+  ChildResult Result = runSupervisedChild(Limits, [](std::ostream &Out) {
+    pid_t Grandchild = fork();
+    if (Grandchild == 0)
+      for (;;)
+        pause();
+    Out << Grandchild;
+    return 0;
+  });
+  ASSERT_FALSE(Result.Output.empty());
+  pid_t Grandchild = static_cast<pid_t>(std::stol(Result.Output));
+  ASSERT_GT(Grandchild, 0);
+  ::kill(Grandchild, SIGKILL);
+  EXPECT_EQ(Result.Status, ChildStatus::CleanExit);
+  expectNoLeakedChildren();
+}
+
+TEST(Subprocess, SupervisionWithoutAPidfdProbesTheReapPerSlice) {
+  // Leave exactly two descriptors free under RLIMIT_NOFILE: the report
+  // pipe takes both, so pidfd_open (called before the parent closes its
+  // copy of the write end) fails with EMFILE, and the same wait loop falls
+  // back to probing waitpid once per slice.
+  rlimit Saved;
+  ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &Saved), 0);
+  rlimit Low = Saved;
+  Low.rlim_cur = std::min<rlim_t>(Saved.rlim_cur, 64);
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &Low), 0);
+  std::vector<int> Fillers;
+  for (int Fd; (Fd = dup(STDERR_FILENO)) >= 0;)
+    Fillers.push_back(Fd);
+  bool TwoFree = Fillers.size() >= 2;
+  ChildResult Clean, Hung;
+  if (TwoFree) {
+    ::close(Fillers.back());
+    Fillers.pop_back();
+    ::close(Fillers.back());
+    Fillers.pop_back();
+    ChildLimits Limits;
+    Clean = runSupervisedChild(Limits, [](std::ostream &Out) {
+      Out << "ok";
+      return 0;
+    });
+    Limits.WallDeadlineSeconds = 0.2;
+    Hung = runSupervisedChild(Limits, closePipeAndHang);
+  }
+  for (int Fd : Fillers)
+    ::close(Fd);
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &Saved), 0);
+  ASSERT_TRUE(TwoFree);
+  EXPECT_EQ(Clean.Status, ChildStatus::CleanExit);
+  EXPECT_EQ(Clean.Output, "ok");
+  EXPECT_EQ(Hung.Status, ChildStatus::WatchdogKill);
+  EXPECT_EQ(Hung.Output, "closing the pipe\n");
+  expectNoLeakedChildren();
+}
+
+TEST(Subprocess, RepeatedSupervisionLeaksNoDescriptors) {
+  // Clean, watchdog and cancel endings, with the pipe open or closed at
+  // the kill: the parent's descriptor count (pipe, pidfd) must not grow.
+  auto OpenFds = [] {
+    size_t Count = 0;
+    for ([[maybe_unused]] const auto &Entry :
+         std::filesystem::directory_iterator("/proc/self/fd"))
+      ++Count;
+    return Count;
+  };
+  std::atomic<bool> Cancelled{true};
+  size_t Before = OpenFds();
+  for (int Run = 0; Run < 200; ++Run) {
+    ChildLimits Limits;
+    ChildResult Result;
+    switch (Run % 3) {
+    case 0:
+      Result = runSupervisedChild(Limits, [](std::ostream &Out) {
+        Out << "ok";
+        return 0;
+      });
+      EXPECT_EQ(Result.Status, ChildStatus::CleanExit);
+      break;
+    case 1:
+      Limits.WallDeadlineSeconds = 0.005;
+      Result = runSupervisedChild(Limits, closePipeAndHang);
+      EXPECT_EQ(Result.Status, ChildStatus::WatchdogKill);
+      break;
+    case 2:
+      Limits.Cancel = &Cancelled;
+      Result = runSupervisedChild(Limits, [](std::ostream &) -> int {
+        for (;;)
+          pause();
+      });
+      EXPECT_EQ(Result.Status, ChildStatus::Signalled);
+      break;
+    }
+  }
+  EXPECT_EQ(OpenFds(), Before);
   expectNoLeakedChildren();
 }
 
