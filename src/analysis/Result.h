@@ -112,7 +112,10 @@ struct SolverStats {
   uint64_t DensePointsToSets = 0; ///< Nodes whose Pts ended bitmap-backed.
 };
 
-/// The result of a points-to analysis run.
+/// The result of a points-to analysis run.  Every projected set below is
+/// strictly increasing (sorted, duplicate-free): the solver assembles each
+/// one from the context-qualified tuples of its nodes, keeping each heap
+/// once.
 class PointsToResult {
 public:
   SolveStatus Status = SolveStatus::Completed;
@@ -124,14 +127,18 @@ public:
   std::vector<SortedIdSet> VarHeaps;
 
   /// Per-(base heap, field) points-to set, contexts collapsed.  Key is
-  /// (baseHeap << 32 | field); values are raw HeapIds.
+  /// (baseHeap << 32 | field); values are raw HeapIds.  Every (object,
+  /// field) node the solver created has an entry, possibly empty.  Keys are
+  /// inserted in the order their first node was created, so iteration
+  /// order is a function of the program and policy alone.
   std::unordered_map<uint64_t, SortedIdSet> FieldHeaps;
 
   /// Reachability per method (in any context).
   std::vector<bool> MethodReachable;
 
   /// Per-static-field points-to set, contexts collapsed.  Key is the raw
-  /// FieldId; values are raw HeapIds.
+  /// FieldId; values are raw HeapIds.  Entries and iteration order follow
+  /// the FieldHeaps rule.
   std::unordered_map<uint32_t, SortedIdSet> StaticFieldHeaps;
 
   /// Per-method escaping-exception set, contexts collapsed.  Indexed by

@@ -557,73 +557,103 @@ private:
     uint64_t ThrowTuples = 0;
     uint64_t StaticTuples = 0;
     uint64_t DenseSets = 0;
+
+    // Projection (DESIGN.md §11 "Result assembly").  Each output set is a
+    // slot: a var's slot is its id, a method's throw slot follows the vars,
+    // and field / static-field slots are numbered after those in
+    // first-appearance node order.  Their map keys are inserted in that
+    // order too, which fixes the maps' iteration order.
+    std::vector<SortedIdSet *> SlotSets;
+    SlotSets.reserve(Prog.numVars() + Prog.numMethods());
+    for (SortedIdSet &Heaps : Result.VarHeaps)
+      SlotSets.push_back(&Heaps);
+    for (SortedIdSet &Heaps : Result.MethodThrows)
+      SlotSets.push_back(&Heaps);
+    std::unordered_map<uint64_t, uint32_t> FieldSlots;
+    std::unordered_map<uint32_t, uint32_t> StaticSlots;
+    auto keyedSlot = [&SlotSets](auto &Slots, auto &Sets, auto Key) {
+      auto [It, Inserted] = Slots.try_emplace(Key, SlotSets.size());
+      if (Inserted)
+        SlotSets.push_back(&Sets[Key]);
+      return It->second;
+    };
+    std::vector<uint32_t> NodeSlot(Nodes.size());
     for (uint32_t N = 0; N < Nodes.size(); ++N) {
       const Node &NodeRef = Nodes[N];
+      // NodeKey halves: (var, ctx), (object, field), (0, field) or
+      // (method, ctx), by kind.
+      uint32_t High = static_cast<uint32_t>(NodeKey[N] >> 32);
+      uint32_t Low = static_cast<uint32_t>(NodeKey[N]);
       DenseSets += NodeRef.Pts.isDense() ? 1 : 0;
       switch (NodeKind[N]) {
-      case NodeKindVar: {
+      case NodeKindVar:
         VarTuples += NodeRef.Pts.size();
-        uint32_t VarRaw = static_cast<uint32_t>(NodeKey[N] >> 32);
-        SortedIdSet &Heaps = Result.VarHeaps[VarRaw];
-        for (uint32_t Object : NodeRef.Pts)
-          Heaps.push_back(Objects[Object].first);
+        NodeSlot[N] = High;
         if (Opts.KeepTuples)
           for (uint32_t Object : NodeRef.Pts)
-            Result.VarPointsTo.push_back({VarRaw, NodeRef.CtxRaw,
+            Result.VarPointsTo.push_back({High, NodeRef.CtxRaw,
                                           Objects[Object].first,
                                           Objects[Object].second});
         break;
-      }
       case NodeKindField: {
         FieldTuples += NodeRef.Pts.size();
-        uint32_t BaseObject = static_cast<uint32_t>(NodeKey[N] >> 32);
-        uint32_t FieldRaw = static_cast<uint32_t>(NodeKey[N]);
-        uint64_t Key = pack(Objects[BaseObject].first, FieldRaw);
-        SortedIdSet &Heaps = Result.FieldHeaps[Key];
-        for (uint32_t Object : NodeRef.Pts)
-          Heaps.push_back(Objects[Object].first);
+        auto [BaseHeap, BaseHCtx] = Objects[High];
+        NodeSlot[N] =
+            keyedSlot(FieldSlots, Result.FieldHeaps, pack(BaseHeap, Low));
         if (Opts.KeepTuples)
           for (uint32_t Object : NodeRef.Pts)
-            Result.FieldPointsTo.push_back(
-                {Objects[BaseObject].first, Objects[BaseObject].second,
-                 FieldRaw, Objects[Object].first, Objects[Object].second});
-        break;
-      }
-      case NodeKindStaticField: {
-        StaticTuples += NodeRef.Pts.size();
-        uint32_t FieldRaw = static_cast<uint32_t>(NodeKey[N]);
-        SortedIdSet &Heaps = Result.StaticFieldHeaps[FieldRaw];
-        for (uint32_t Object : NodeRef.Pts)
-          Heaps.push_back(Objects[Object].first);
-        if (Opts.KeepTuples)
-          for (uint32_t Object : NodeRef.Pts)
-            Result.StaticFieldPointsTo.push_back(
-                {FieldRaw, Objects[Object].first, Objects[Object].second});
-        break;
-      }
-      case NodeKindThrow: {
-        ThrowTuples += NodeRef.Pts.size();
-        uint32_t MethodRaw = static_cast<uint32_t>(NodeKey[N] >> 32);
-        SortedIdSet &Heaps = Result.MethodThrows[MethodRaw];
-        for (uint32_t Object : NodeRef.Pts)
-          Heaps.push_back(Objects[Object].first);
-        if (Opts.KeepTuples)
-          for (uint32_t Object : NodeRef.Pts)
-            Result.ThrowPointsTo.push_back({MethodRaw, NodeRef.CtxRaw,
+            Result.FieldPointsTo.push_back({BaseHeap, BaseHCtx, Low,
                                             Objects[Object].first,
                                             Objects[Object].second});
         break;
       }
+      case NodeKindStaticField:
+        StaticTuples += NodeRef.Pts.size();
+        NodeSlot[N] = keyedSlot(StaticSlots, Result.StaticFieldHeaps, Low);
+        if (Opts.KeepTuples)
+          for (uint32_t Object : NodeRef.Pts)
+            Result.StaticFieldPointsTo.push_back(
+                {Low, Objects[Object].first, Objects[Object].second});
+        break;
+      case NodeKindThrow:
+        ThrowTuples += NodeRef.Pts.size();
+        NodeSlot[N] = Prog.numVars() + High;
+        if (Opts.KeepTuples)
+          for (uint32_t Object : NodeRef.Pts)
+            Result.ThrowPointsTo.push_back({High, NodeRef.CtxRaw,
+                                            Objects[Object].first,
+                                            Objects[Object].second});
+        break;
       }
     }
-    for (SortedIdSet &Heaps : Result.VarHeaps)
-      setNormalize(Heaps);
-    for (auto &[Key, Heaps] : Result.FieldHeaps)
-      setNormalize(Heaps);
-    for (auto &[Key, Heaps] : Result.StaticFieldHeaps)
-      setNormalize(Heaps);
-    for (SortedIdSet &Heaps : Result.MethodThrows)
-      setNormalize(Heaps);
+
+    // Counting sort of the nodes by slot.  Filling back to front leaves
+    // SlotBegin[S] at slot S's first entry and each slot in node order.
+    std::vector<uint32_t> SlotBegin(SlotSets.size() + 1, 0);
+    for (uint32_t Slot : NodeSlot)
+      ++SlotBegin[Slot];
+    for (size_t Slot = 1; Slot < SlotBegin.size(); ++Slot)
+      SlotBegin[Slot] += SlotBegin[Slot - 1];
+    std::vector<uint32_t> BySlot(Nodes.size());
+    for (uint32_t N = static_cast<uint32_t>(Nodes.size()); N-- > 0;)
+      BySlot[--SlotBegin[NodeSlot[N]]] = N;
+
+    // One pass over every tuple: Stamp[heap] == slot + 1 marks a heap the
+    // current slot already holds, so only distinct heaps are pushed, and
+    // only they are sorted.
+    std::vector<uint32_t> Stamp(Prog.numHeaps(), 0);
+    for (uint32_t Slot = 0; Slot < SlotSets.size(); ++Slot) {
+      SortedIdSet &Heaps = *SlotSets[Slot];
+      for (uint32_t I = SlotBegin[Slot]; I < SlotBegin[Slot + 1]; ++I)
+        Nodes[BySlot[I]].Pts.forEach([&](uint32_t Object) {
+          uint32_t Heap = Objects[Object].first;
+          if (Stamp[Heap] != Slot + 1) {
+            Stamp[Heap] = Slot + 1;
+            Heaps.push_back(Heap);
+          }
+        });
+      std::sort(Heaps.begin(), Heaps.end());
+    }
 
     for (auto [MethodRaw, CtxRaw] : ReachableList) {
       Result.MethodReachable[MethodRaw] = true;

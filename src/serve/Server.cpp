@@ -12,6 +12,7 @@
 #include "support/Trace.h"
 
 #include <algorithm>
+#include <chrono>
 #include <sstream>
 
 #include <sys/socket.h>
@@ -354,7 +355,7 @@ bool Server::handleSubmit(Session &S, const JsonValue &Doc) {
     sendFrame(S, Out.str());
   }
 
-  // The session thread blocks on the worker future — responses to this
+  // The session thread waits for the worker future — responses to this
   // connection stay in request order — while other sessions keep being
   // served (each has its own thread) and other jobs keep running (the
   // pool has Options.Workers slots).  The jitter seed is the job id, so a
@@ -365,6 +366,15 @@ bool Server::handleSubmit(Session &S, const JsonValue &Doc) {
                     JobIndex]() mutable {
         runJob(S, *Job, Spec, Deadline, JobIndex);
       });
+  // Wait in 50 ms slices, checking between them whether the client hung
+  // up.  A child that runs silently gives the stream no send to fail, so
+  // this check is what cancels its orphaned job.  It never reads:
+  // pipelined requests stay queued, and a half-closed peer still gets its
+  // report.
+  while (Future.wait_for(std::chrono::milliseconds(50)) !=
+         std::future_status::ready)
+    if (peerHungUp(S.Fd))
+      Job->CancelRequested.store(true, std::memory_order_release);
   Future.get();
 
   bool Sent = sendFrame(S, doneFrameFor(*Job));

@@ -138,6 +138,17 @@ int intro::pollIn(int Fd, int TimeoutMs) {
   }
 }
 
+bool intro::peerHungUp(int Fd) {
+  pollfd Poll;
+  Poll.fd = Fd;
+  Poll.events = 0; // POLLHUP and POLLERR are reported regardless.
+  Poll.revents = 0;
+  while (::poll(&Poll, 1, 0) < 0)
+    if (errno != EINTR)
+      return false;
+  return (Poll.revents & (POLLHUP | POLLERR)) != 0;
+}
+
 long intro::readSome(int Fd, char *Buffer, size_t Capacity) {
   while (true) {
     ssize_t Count = ::read(Fd, Buffer, Capacity);

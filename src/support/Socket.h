@@ -62,6 +62,11 @@ bool sendAll(int Fd, const char *Data, size_t Count);
 /// 0 on timeout, -1 on error.  \p TimeoutMs < 0 waits forever.
 int pollIn(int Fd, int TimeoutMs);
 
+/// \returns true once the peer of socket \p Fd has closed both directions
+/// (POLLHUP or POLLERR).  Never reads, so queued input stays queued; a
+/// peer's half-close (shutdown(SHUT_WR)) is not a hangup.
+bool peerHungUp(int Fd);
+
 /// One EINTR-resumed read(2).  \returns bytes read, 0 at EOF, -1 on error.
 long readSome(int Fd, char *Buffer, size_t Capacity);
 

@@ -11,7 +11,9 @@
 ///   - solver == Datalog reference, tuple for tuple, per context flavor;
 ///   - soundness: dynamic facts are a subset of every analysis result;
 ///   - abstraction: context-sensitive results project into insensitive ones;
-///   - frontend round-trip preserves analysis outcomes.
+///   - frontend round-trip preserves analysis outcomes;
+///   - result assembly: every context-collapsed projection equals the
+///     sort-unique projection of its tuple dump.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,14 +23,22 @@
 #include "analysis/Solver.h"
 #include "frontend/Parser.h"
 #include "frontend/Printer.h"
+#include "fuzz/Generator.h"
+#include "introspect/Heuristics.h"
 #include "ir/Interpreter.h"
 #include "ir/ProgramBuilder.h"
 #include "ir/Validator.h"
+#include "workload/DaCapo.h"
+#include "workload/Generator.h"
 #include "workload/Random.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
+#include <set>
+#include <type_traits>
 
 using namespace intro;
 
@@ -353,4 +363,215 @@ TEST(DenseHubProperty, OracleAgreementWithPromotedSets) {
     EXPECT_EQ(Sorted(Solver.CallGraph), Reference.CallGraph)
         << Policy->name();
   }
+}
+
+// --- Result assembly: the projections are the tuple dumps, collapsed ---------
+
+namespace {
+
+/// The sort-unique projection of a tuple dump: KeyOf(tuple) -> the sorted
+/// distinct values of the tuple's heap column.
+template <typename TupleT, typename KeyFnT>
+std::map<uint64_t, SortedIdSet> projectDump(const std::vector<TupleT> &Dump,
+                                            KeyFnT KeyOf, size_t HeapColumn) {
+  std::map<uint64_t, SortedIdSet> Projection;
+  for (const TupleT &Tuple : Dump)
+    Projection[KeyOf(Tuple)].push_back(Tuple[HeapColumn]);
+  for (auto &Entry : Projection)
+    setNormalize(Entry.second);
+  return Projection;
+}
+
+bool strictlyIncreasing(const SortedIdSet &Set) {
+  return std::adjacent_find(Set.begin(), Set.end(),
+                            std::greater_equal<uint32_t>()) == Set.end();
+}
+
+/// Checks one projected map against its dump's projection: every dump key
+/// is present with exactly the projected set, every other entry is empty
+/// (a node whose points-to set stayed empty), and every set is strictly
+/// increasing.  \p Sets is a vector (indexed by key) or an unordered_map.
+template <typename SetsT>
+void expectProjection(const SetsT &Sets,
+                      const std::map<uint64_t, SortedIdSet> &Projection,
+                      const std::string &Label) {
+  size_t Matched = 0;
+  auto Check = [&](uint64_t Key, const SortedIdSet &Heaps) {
+    EXPECT_TRUE(strictlyIncreasing(Heaps)) << Label << " key " << Key;
+    auto It = Projection.find(Key);
+    if (It == Projection.end()) {
+      EXPECT_TRUE(Heaps.empty()) << Label << " key " << Key;
+      return;
+    }
+    ++Matched;
+    EXPECT_EQ(Heaps, It->second) << Label << " key " << Key;
+  };
+  if constexpr (std::is_same_v<SetsT, std::vector<SortedIdSet>>) {
+    for (size_t Key = 0; Key < Sets.size(); ++Key)
+      Check(Key, Sets[Key]);
+  } else {
+    for (const auto &[Key, Heaps] : Sets)
+      Check(Key, Heaps);
+  }
+  EXPECT_EQ(Matched, Projection.size()) << Label << ": dump keys missing";
+}
+
+/// Asserts that all four projected maps of \p R equal the sort-unique
+/// projections of its tuple dumps.
+void expectProjectionsMatchDumps(const PointsToResult &R,
+                                 const std::string &Label) {
+  expectProjection(
+      R.VarHeaps,
+      projectDump(R.VarPointsTo, [](const auto &T) { return T[0]; }, 2),
+      Label + " VarHeaps");
+  expectProjection(R.FieldHeaps,
+                   projectDump(
+                       R.FieldPointsTo,
+                       [](const auto &T) {
+                         return PointsToResult::fieldKey(HeapId(T[0]),
+                                                         FieldId(T[2]));
+                       },
+                       3),
+                   Label + " FieldHeaps");
+  expectProjection(
+      R.StaticFieldHeaps,
+      projectDump(R.StaticFieldPointsTo, [](const auto &T) { return T[0]; },
+                  1),
+      Label + " StaticFieldHeaps");
+  expectProjection(
+      R.MethodThrows,
+      projectDump(R.ThrowPointsTo, [](const auto &T) { return T[0]; }, 2),
+      Label + " MethodThrows");
+}
+
+/// Solves \p Prog with tuple dumps under insens, 2objH, 2typeH, 2callH and
+/// 2objH-IntroB, and checks every projection against its dump.  \returns
+/// how many elements Heuristic B left context-insensitive.
+size_t expectProjectionsForFlavors(const Program &Prog,
+                                   const HeuristicBParams &ParamsB,
+                                   const std::string &Label) {
+  auto Insens = makeInsensitivePolicy();
+  auto Object = makeObjectPolicy(Prog, 2, 1);
+  ContextTable FirstTable;
+  PointsToResult First = solvePointsTo(Prog, *Insens, FirstTable);
+  IntrospectionMetrics Metrics = computeIntrospectionMetrics(Prog, First);
+  std::vector<std::unique_ptr<ContextPolicy>> Policies;
+  Policies.push_back(makeInsensitivePolicy());
+  Policies.push_back(makeObjectPolicy(Prog, 2, 1));
+  Policies.push_back(makeTypePolicy(Prog, 2, 1));
+  Policies.push_back(makeCallSitePolicy(2, 1));
+  RefinementExceptions Exceptions =
+      applyHeuristicB(Prog, First, Metrics, ParamsB);
+  size_t Excluded =
+      Exceptions.NoRefineHeaps.size() + Exceptions.NoRefineSites.size();
+  Policies.push_back(makeIntrospectivePolicy("2objH-IntroB", *Insens, *Object,
+                                             std::move(Exceptions)));
+  for (const auto &Policy : Policies) {
+    ContextTable Table;
+    SolverOptions Options;
+    Options.KeepTuples = true;
+    PointsToResult R = solvePointsTo(Prog, *Policy, Table, Options);
+    expectProjectionsMatchDumps(R, Label + " " + Policy->name());
+  }
+  return Excluded;
+}
+
+} // namespace
+
+TEST(ResultAssembly, ProjectionsMatchDumpsOnFuzzPrograms) {
+  // Low Heuristic-B thresholds so the introspective flavor really mixes
+  // refined and coarse elements on these small programs.
+  HeuristicBParams ParamsB;
+  ParamsB.P = 8;
+  ParamsB.Q = 8;
+  size_t Excluded = 0;
+  for (size_t BiasIndex = 0; BiasIndex < fuzz::NumFuzzBiases; ++BiasIndex) {
+    auto Bias = static_cast<fuzz::FuzzBias>(BiasIndex);
+    for (uint64_t Seed = 1; Seed <= 4; ++Seed)
+      Excluded += expectProjectionsForFlavors(
+          fuzz::generateFuzzProgram(Seed, Bias), ParamsB,
+          std::string(fuzz::fuzzBiasName(Bias)) + " seed " +
+              std::to_string(Seed));
+  }
+  EXPECT_GT(Excluded, 0u) << "Heuristic B refined everything everywhere";
+}
+
+TEST(ResultAssembly, ProjectionsMatchDumpsOnChart) {
+  EXPECT_GT(expectProjectionsForFlavors(
+                generateWorkload(dacapoProfile("chart")), HeuristicBParams(),
+                "chart"),
+            0u);
+}
+
+TEST(ResultAssembly, OneHeapUnderManyContextsProjectsOnce) {
+  // One allocation site reaches var `x` of Ider.id under four var contexts
+  // (one per Ider receiver) and, in each, under 64 heap contexts (one per
+  // Maker receiver) — enough that x's points-to sets are bitmap-backed.
+  // The same objects fill one field key, one static field and one throw
+  // set through many nodes each.  Every projection is the single heap.
+  constexpr uint32_t NumMakers = 64;
+  constexpr uint32_t NumIders = 4;
+
+  ProgramBuilder B;
+  TypeId Object = B.cls("Object");
+  TypeId Payload = B.cls("Payload", Object);
+  TypeId Maker = B.cls("Maker", Object);
+  TypeId Ider = B.cls("Ider", Object);
+  FieldId Held = B.field(Payload, "held");
+  FieldId Shared = B.field(Ider, "shared");
+
+  MethodBuilder Make = B.method(Maker, "make", 0);
+  HeapId PayloadHeap = Make.alloc(Make.returnVar(), Payload);
+
+  MethodBuilder Id = B.method(Ider, "id", 1);
+  VarId X = Id.formal(0);
+  Id.move(Id.returnVar(), X);
+  Id.store(X, Held, X);
+  Id.sstore(Shared, X);
+  Id.throwStmt(X);
+
+  MethodBuilder Main = B.method(Object, "main", 0, /*IsStatic=*/true);
+  B.entry(Main.id());
+  VarId Hub = Main.local("hub");
+  for (uint32_t Index = 0; Index < NumMakers; ++Index) {
+    VarId M = Main.local("m" + std::to_string(Index));
+    Main.alloc(M, Maker);
+    VarId R = Main.local("r" + std::to_string(Index));
+    Main.vcall(R, M, "make", {});
+    Main.move(Hub, R);
+  }
+  for (uint32_t Index = 0; Index < NumIders; ++Index) {
+    VarId D = Main.local("d" + std::to_string(Index));
+    Main.alloc(D, Ider);
+    Main.vcall(Main.local("o" + std::to_string(Index)), D, "id", {Hub});
+  }
+  Program Prog = B.take();
+  ASSERT_TRUE(validateProgram(Prog).empty());
+
+  auto Policy = makeObjectPolicy(Prog, 2, 1);
+  ContextTable Table;
+  SolverOptions Options;
+  Options.KeepTuples = true;
+  PointsToResult R = solvePointsTo(Prog, *Policy, Table, Options);
+  ASSERT_EQ(R.Status, SolveStatus::Completed);
+  EXPECT_GT(R.Stats.DensePointsToSets, 0u);
+
+  std::set<uint32_t> Ctxs, HCtxs;
+  for (const auto &Tuple : R.VarPointsTo)
+    if (Tuple[0] == X.index()) {
+      Ctxs.insert(Tuple[1]);
+      HCtxs.insert(Tuple[3]);
+    }
+  EXPECT_EQ(Ctxs.size(), NumIders);
+  EXPECT_EQ(HCtxs.size(), NumMakers);
+
+  const SortedIdSet Single = {PayloadHeap.index()};
+  EXPECT_EQ(R.pointsTo(X), Single);
+  EXPECT_EQ(R.pointsTo(Hub), Single);
+  EXPECT_EQ(R.FieldHeaps.at(PointsToResult::fieldKey(PayloadHeap, Held)),
+            Single);
+  EXPECT_EQ(R.StaticFieldHeaps.at(Shared.index()), Single);
+  EXPECT_EQ(R.throwsOf(Id.id()), Single);
+  EXPECT_EQ(R.throwsOf(Main.id()), Single);
+  expectProjectionsMatchDumps(R, "many-contexts");
 }

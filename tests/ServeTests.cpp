@@ -784,6 +784,85 @@ TEST(Serve, ClientGoneMidStreamCancelsTheOrphanedJob) {
   expectNoLeakedChildren();
 }
 
+TEST(Serve, ClientGoneAfterTheLastLineCancelsTheSilentJob) {
+  TempDir Dir;
+  std::string Socket = Dir.Path + "/serve.sock";
+  Harness H(testOptions(Socket));
+
+  {
+    // The deep rung_start line is the child's last output before it spins,
+    // so after the client has read it and hung up no send can fail: only
+    // watching the socket notices the hangup.
+    RawConn Conn(Socket);
+    expectHello(Conn);
+    ASSERT_TRUE(Conn.write(encodeFrame(
+        R"({"op":"submit","name":"orphan","source":")" +
+        JsonWriter::escape(TinySource) +
+        R"(","chaos":"spin","deadline_seconds":30})")));
+    std::string Payload;
+    ASSERT_TRUE(Conn.readFrame(Payload)); // accepted
+    ASSERT_TRUE(Conn.readFrame(Payload)); // the rung_start line
+    JsonParseResult Parsed = parseJson(Payload);
+    ASSERT_TRUE(Parsed.ok());
+    std::string Event, Line;
+    ASSERT_TRUE(Parsed.Value.getString("event", Event));
+    EXPECT_EQ(Event, "line");
+    ASSERT_TRUE(Parsed.Value.getString("line", Line));
+    EXPECT_NE(Line.find("rung_start"), std::string::npos) << Line;
+  }
+
+  bool Settled = false;
+  for (int Tries = 0; Tries < 500 && !Settled; ++Tries) {
+    if (H.Daemon.counters().Cancelled == 1)
+      Settled = true;
+    else
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_TRUE(Settled) << "the silent orphaned job was never cancelled";
+
+  expectServerStillServes(Socket);
+  H.stop();
+  EXPECT_EQ(H.Exit, ExitSuccess);
+  expectNoLeakedChildren();
+}
+
+TEST(Serve, HalfClosedClientStillGetsItsReport) {
+  TempDir Dir;
+  std::string Socket = Dir.Path + "/serve.sock";
+  Harness H(testOptions(Socket));
+
+  // The first attempt spins until its 0.5 s watchdog, the retry finishes
+  // clean; the client shut down its sending side right after submitting,
+  // which is not a hangup.
+  RawConn Conn(Socket);
+  expectHello(Conn);
+  ASSERT_TRUE(Conn.write(encodeFrame(
+      R"({"op":"submit","name":"halfclosed","source":")" +
+      JsonWriter::escape(TinySource) +
+      R"(","chaos":"spin","deadline_seconds":0.5})")));
+  ::shutdown(Conn.Fd, SHUT_WR);
+
+  std::string Payload, Event;
+  do {
+    ASSERT_TRUE(Conn.readFrame(Payload)) << "no done frame";
+    JsonParseResult Parsed = parseJson(Payload);
+    ASSERT_TRUE(Parsed.ok());
+    ASSERT_TRUE(Parsed.Value.getString("event", Event));
+    if (Event == "done") {
+      std::string State, FinalClass;
+      ASSERT_TRUE(Parsed.Value.getString("state", State));
+      EXPECT_EQ(State, "done");
+      ASSERT_TRUE(Parsed.Value.getString("final_class", FinalClass));
+      EXPECT_EQ(FinalClass, "clean");
+    }
+  } while (Event != "done");
+  EXPECT_EQ(H.Daemon.counters().Cancelled, 0u);
+  EXPECT_EQ(H.Daemon.counters().Completed, 1u);
+
+  H.stop();
+  expectNoLeakedChildren();
+}
+
 // --- The shared warm cache ---------------------------------------------------
 
 TEST(Serve, SecondSubmitOfTheSameProgramHitsTheSharedCache) {
