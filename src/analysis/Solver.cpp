@@ -8,15 +8,16 @@
 
 #include "analysis/ContextPolicy.h"
 #include "ir/Program.h"
+#include "support/Hash.h"
 #include "support/IdSet.h"
 #include "support/Overflow.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
 
 #include <algorithm>
+#include <cassert>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace intro;
 
@@ -30,6 +31,64 @@ constexpr uint8_t NodeKindThrow = 3;
 uint64_t pack(uint32_t High, uint32_t Low) {
   return (static_cast<uint64_t>(High) << 32) | Low;
 }
+
+/// The solver's interning index: a map from a packed u64 key to a u32
+/// value (a node or object number), or a plain key set when the value is
+/// unused.  Open addressing with linear probing over a power-of-two table
+/// of at most half-full slots, hashed with mixIndexKeyBits.  Nothing ever
+/// iterates an index — the solver only inserts and reads size() — so the
+/// slot order cannot leak into any result.
+class FlatIndex {
+public:
+  /// No packed key equals EmptyKey: every key's high half is a valid id or
+  /// an object number, and neither is ever 0xFFFFFFFF (Ids.h reserves that
+  /// value as the invalid id, and index() asserts on it).
+  static constexpr uint64_t EmptyKey = ~uint64_t(0);
+
+  /// Inserts \p Key with \p Value unless it is present.  \returns the
+  /// stored value and whether it was inserted.
+  std::pair<uint32_t, bool> emplace(uint64_t Key, uint32_t Value) {
+    assert(Key != EmptyKey && "a packed key collided with the empty slot");
+    if (2 * (Count + 1) > Slots.size())
+      grow();
+    size_t Mask = Slots.size() - 1;
+    for (size_t I = mixIndexKeyBits(Key) & Mask;; I = (I + 1) & Mask) {
+      Slot &S = Slots[I];
+      if (S.Key == Key)
+        return {S.Value, false};
+      if (S.Key == EmptyKey) {
+        S = {Key, Value};
+        ++Count;
+        return {Value, true};
+      }
+    }
+  }
+
+  size_t size() const { return Count; }
+
+private:
+  struct Slot {
+    uint64_t Key = EmptyKey;
+    uint32_t Value = 0;
+  };
+
+  void grow() {
+    std::vector<Slot> Old(std::max<size_t>(16, 2 * Slots.size()));
+    Old.swap(Slots);
+    size_t Mask = Slots.size() - 1;
+    for (const Slot &S : Old) {
+      if (S.Key == EmptyKey)
+        continue;
+      size_t I = mixIndexKeyBits(S.Key) & Mask;
+      while (Slots[I].Key != EmptyKey)
+        I = (I + 1) & Mask;
+      Slots[I] = S;
+    }
+  }
+
+  std::vector<Slot> Slots;
+  size_t Count = 0;
+};
 
 /// One constraint-graph node: a (var, ctx) pair or an (object, field) pair.
 ///
@@ -150,67 +209,65 @@ private:
     return false;
   }
 
-  /// Estimated bytes of hash-map bookkeeping per index entry (bucket slot,
-  /// key/value pair, chaining pointer).  A constant so that the memory
-  /// budget is deterministic across platforms and allocators.
+  /// Estimated bytes of index bookkeeping per interned entry.  A constant
+  /// so that the memory budget is deterministic across platforms and
+  /// allocators.  48 prices a chained hash-map entry (bucket slot, key/value
+  /// pair, chaining pointer); a FlatIndex entry takes less, but the charge
+  /// stays so that budgets and reported approx_bytes stay comparable.
   static constexpr uint64_t IndexEntryBytes = 48;
 
   // --- Node and object interning ------------------------------------------
 
   uint32_t getObject(HeapId Heap, HCtxId HCtx) {
     uint64_t Key = pack(Heap.index(), HCtx.index());
-    auto [It, Inserted] = ObjIndex.emplace(Key, Objects.size());
+    auto [Object, Inserted] =
+        ObjIndex.emplace(Key, static_cast<uint32_t>(Objects.size()));
     if (Inserted) {
       Objects.push_back({Heap.index(), HCtx.index()});
       ApproxBytes += sizeof(Objects[0]) + IndexEntryBytes;
     }
-    return It->second;
+    return Object;
   }
 
-  uint32_t newNode(uint8_t Kind, uint64_t Key, uint32_t CtxRaw) {
-    uint32_t Index = static_cast<uint32_t>(Nodes.size());
+  /// Interns the node \p Key of \p Kind in \p Index, creating it (with
+  /// the next node number) on first sight.
+  uint32_t internNode(FlatIndex &Index, uint8_t Kind, uint64_t Key,
+                      uint32_t CtxRaw) {
+    auto [N, Inserted] =
+        Index.emplace(Key, static_cast<uint32_t>(Nodes.size()));
+    if (!Inserted)
+      return N;
     Nodes.emplace_back();
     Nodes.back().CtxRaw = CtxRaw;
     NodeKind.push_back(Kind);
     NodeKey.push_back(Key);
     ApproxBytes += sizeof(Node) + sizeof(uint8_t) + sizeof(uint64_t) +
                    IndexEntryBytes;
-    return Index;
+    return N;
   }
 
   uint32_t varNode(VarId Var, CtxId Ctx) {
-    uint64_t Key = pack(Var.index(), Ctx.index());
-    auto [It, Inserted] = VarNodeIndex.emplace(Key, 0);
-    if (Inserted)
-      It->second = newNode(NodeKindVar, Key, Ctx.index());
-    return It->second;
+    return internNode(VarNodeIndex, NodeKindVar,
+                      pack(Var.index(), Ctx.index()), Ctx.index());
   }
 
   uint32_t fieldNode(uint32_t Object, FieldId Field) {
-    uint64_t Key = pack(Object, Field.index());
-    auto [It, Inserted] = FieldNodeIndex.emplace(Key, 0);
-    if (Inserted)
-      It->second = newNode(NodeKindField, Key, 0);
-    return It->second;
+    return internNode(FieldNodeIndex, NodeKindField,
+                      pack(Object, Field.index()), 0);
   }
 
   /// Static fields are single global cells (Doop: StaticFieldPointsTo has
   /// no base object and no context).
   uint32_t staticFieldNode(FieldId Field) {
-    auto [It, Inserted] = StaticFieldNodeIndex.emplace(Field.index(), 0);
-    if (Inserted)
-      It->second = newNode(NodeKindStaticField, Field.index(), 0);
-    return It->second;
+    return internNode(StaticFieldNodeIndex, NodeKindStaticField,
+                      Field.index(), 0);
   }
 
   /// The set of exception objects escaping (method, ctx) — the paper
   /// [11]-style THROWPOINTSTO relation.
   uint32_t throwNode(MethodId Method, CtxId Ctx) {
-    uint64_t Key = pack(Method.index(), Ctx.index());
-    auto [It, Inserted] = ThrowNodeIndex.emplace(Key, 0);
-    if (Inserted)
-      It->second = newNode(NodeKindThrow, Key, Ctx.index());
-    return It->second;
+    return internNode(ThrowNodeIndex, NodeKindThrow,
+                      pack(Method.index(), Ctx.index()), Ctx.index());
   }
 
   // --- Core propagation ----------------------------------------------------
@@ -330,53 +387,46 @@ private:
     if (Delta.empty())
       return;
 
-    // LOAD rule: to = base.fld joins FLDPOINTSTO of every new base object.
-    // Snapshot the use lists: dispatching can create nodes (reallocating
-    // Nodes) but never adds uses to an already-instantiated (var, ctx).
-    // These three rules are inherently per-object (each object selects a
+    // Nothing here copies an edge or use list.  The use lists are walked by
+    // index, re-reading Nodes[N] at every step, because fieldNode and
+    // dispatch can create nodes and so reallocate Nodes; their lengths stay
+    // fixed, because only instantiate appends uses, and instantiate runs
+    // from the main loop, never from inside processNode.  The edge lists are
+    // walked in place: unionInto creates neither nodes nor edges.
+    //
+    // LOAD / STORE / VCALL are inherently per-object (each object selects a
     // different field node or callee), so they stay element-wise.
-    {
-      auto LoadUses = Nodes[N].LoadUses;
-      for (auto [FieldRaw, Dst] : LoadUses)
-        Delta.forEach([&](uint32_t Object) {
-          addEdge(fieldNode(Object, FieldId(FieldRaw)), Dst);
-        });
+    // LOAD rule: to = base.fld joins FLDPOINTSTO of every new base object.
+    for (size_t I = 0; I < Nodes[N].LoadUses.size(); ++I) {
+      auto [FieldRaw, Dst] = Nodes[N].LoadUses[I];
+      Delta.forEach([&](uint32_t Object) {
+        addEdge(fieldNode(Object, FieldId(FieldRaw)), Dst);
+      });
     }
     // STORE rule: base.fld = from feeds FLDPOINTSTO of every new object.
-    {
-      auto StoreUses = Nodes[N].StoreUses;
-      for (auto [FieldRaw, Src] : StoreUses)
-        Delta.forEach([&](uint32_t Object) {
-          addEdge(Src, fieldNode(Object, FieldId(FieldRaw)));
-        });
+    for (size_t I = 0; I < Nodes[N].StoreUses.size(); ++I) {
+      auto [FieldRaw, Src] = Nodes[N].StoreUses[I];
+      Delta.forEach([&](uint32_t Object) {
+        addEdge(Src, fieldNode(Object, FieldId(FieldRaw)));
+      });
     }
     // VCALL rule: dispatch on every new receiver object.
-    {
-      auto CallUses = Nodes[N].CallUses;
-      uint32_t CtxRaw = Nodes[N].CtxRaw;
-      for (uint32_t SiteRaw : CallUses)
-        Delta.forEach([&](uint32_t Object) {
-          dispatch(SiteId(SiteRaw), CtxId(CtxRaw), Object);
-        });
+    CtxId Ctx(Nodes[N].CtxRaw);
+    for (size_t I = 0; I < Nodes[N].CallUses.size(); ++I) {
+      SiteId Site(Nodes[N].CallUses[I]);
+      Delta.forEach([&](uint32_t Object) { dispatch(Site, Ctx, Object); });
     }
     // Copy edges (MOVE / INTERPROCASSIGN / field flow): one batched union
     // of the whole delta per edge.  Delta is a drained local, so a
     // self-edge target can never alias it.
-    {
-      SortedIdSet Succ = Nodes[N].Succ; // Snapshot: edges may be added.
-      for (uint32_t Dst : Succ)
-        unionInto(Dst, Delta);
-    }
+    for (uint32_t Dst : Nodes[N].Succ)
+      unionInto(Dst, Delta);
     // Type-filtered edges (checked casts, catch clauses) and their
     // complements (uncaught-exception propagation): materialize the
     // admitted subset of the delta once per edge, then one batched union.
     for (bool Negated : {false, true}) {
-      const auto &Source =
-          Negated ? Nodes[N].NegFilterSucc : Nodes[N].FilterSucc;
-      if (Source.empty())
-        continue;
-      std::vector<uint64_t> Filtered = Source; // Snapshot.
-      for (uint64_t Packed : Filtered) {
+      for (uint64_t Packed :
+           Negated ? Nodes[N].NegFilterSucc : Nodes[N].FilterSucc) {
         uint32_t Dst = static_cast<uint32_t>(Packed >> 32);
         uint32_t FilterTypeRaw = static_cast<uint32_t>(Packed);
         FilterScratch.clear();
@@ -393,7 +443,8 @@ private:
 
   void recordCallEdge(SiteId Site, CtxId CallerCtx, MethodId Callee,
                       CtxId CalleeCtx) {
-    if (CallEdgeProjection.insert(pack(Site.index(), Callee.index())).second)
+    if (CallEdgeProjection.emplace(pack(Site.index(), Callee.index()), 0)
+            .second)
       SiteTargets[Site.index()].push_back(Callee.index());
     if (Opts.KeepTuples)
       CallGraphTuples.insert(
@@ -445,7 +496,7 @@ private:
   // --- Method instantiation --------------------------------------------------
 
   void enqueueReachable(MethodId Method, CtxId Ctx) {
-    if (!ReachableSet.insert(pack(Method.index(), Ctx.index())).second)
+    if (!ReachableSet.emplace(pack(Method.index(), Ctx.index()), 0).second)
       return;
     ReachableList.push_back({Method.index(), Ctx.index()});
     PendingReachable.push_back({Method.index(), Ctx.index()});
@@ -638,21 +689,37 @@ private:
     for (uint32_t N = static_cast<uint32_t>(Nodes.size()); N-- > 0;)
       BySlot[--SlotBegin[NodeSlot[N]]] = N;
 
-    // One pass over every tuple: Stamp[heap] == slot + 1 marks a heap the
-    // current slot already holds, so only distinct heaps are pushed, and
-    // only they are sorted.
-    std::vector<uint32_t> Stamp(Prog.numHeaps(), 0);
+    // One pass over every tuple: a set bit in Seen marks a heap the current
+    // slot already holds, so only distinct heaps are pushed.  The slot's
+    // bits are then read back in ascending order and cleared for the next
+    // slot: a slot with more distinct heaps than Seen has words scans the
+    // words (zeroing each), a smaller one sorts its heaps and clears just
+    // their bits.  Either way the cost is at most linear in the heaps.
+    std::vector<uint64_t> Seen((Prog.numHeaps() + 63) / 64, 0);
     for (uint32_t Slot = 0; Slot < SlotSets.size(); ++Slot) {
       SortedIdSet &Heaps = *SlotSets[Slot];
       for (uint32_t I = SlotBegin[Slot]; I < SlotBegin[Slot + 1]; ++I)
         Nodes[BySlot[I]].Pts.forEach([&](uint32_t Object) {
           uint32_t Heap = Objects[Object].first;
-          if (Stamp[Heap] != Slot + 1) {
-            Stamp[Heap] = Slot + 1;
+          uint64_t Bit = uint64_t(1) << (Heap & 63);
+          if (!(Seen[Heap >> 6] & Bit)) {
+            Seen[Heap >> 6] |= Bit;
             Heaps.push_back(Heap);
           }
         });
-      std::sort(Heaps.begin(), Heaps.end());
+      if (Heaps.size() > Seen.size()) {
+        size_t Next = 0;
+        for (size_t Word = 0; Word < Seen.size(); ++Word) {
+          for (uint64_t Bits = Seen[Word]; Bits != 0; Bits &= Bits - 1)
+            Heaps[Next++] = static_cast<uint32_t>(
+                (Word << 6) + static_cast<size_t>(__builtin_ctzll(Bits)));
+          Seen[Word] = 0;
+        }
+      } else {
+        std::sort(Heaps.begin(), Heaps.end());
+        for (uint32_t Heap : Heaps)
+          Seen[Heap >> 6] &= ~(uint64_t(1) << (Heap & 63));
+      }
     }
 
     for (auto [MethodRaw, CtxRaw] : ReachableList) {
@@ -693,20 +760,20 @@ private:
   std::vector<Node> Nodes;
   std::vector<uint8_t> NodeKind;
   std::vector<uint64_t> NodeKey;
-  std::unordered_map<uint64_t, uint32_t> VarNodeIndex;
-  std::unordered_map<uint64_t, uint32_t> FieldNodeIndex;
-  std::unordered_map<uint32_t, uint32_t> StaticFieldNodeIndex;
-  std::unordered_map<uint64_t, uint32_t> ThrowNodeIndex;
+  FlatIndex VarNodeIndex;
+  FlatIndex FieldNodeIndex;
+  FlatIndex StaticFieldNodeIndex;
+  FlatIndex ThrowNodeIndex;
 
-  std::unordered_map<uint64_t, uint32_t> ObjIndex;
+  FlatIndex ObjIndex;
   std::vector<std::pair<uint32_t, uint32_t>> Objects;
 
   std::vector<uint32_t> Worklist;
   std::vector<std::pair<uint32_t, uint32_t>> PendingReachable;
-  std::unordered_set<uint64_t> ReachableSet;
+  FlatIndex ReachableSet;
   std::vector<std::pair<uint32_t, uint32_t>> ReachableList;
 
-  std::unordered_set<uint64_t> CallEdgeProjection;
+  FlatIndex CallEdgeProjection;
   std::vector<SortedIdSet> SiteTargets =
       std::vector<SortedIdSet>(Prog.numSites());
   std::set<std::array<uint32_t, 4>> CallGraphTuples;

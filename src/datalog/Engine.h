@@ -23,6 +23,7 @@
 #define DATALOG_ENGINE_H
 
 #include "datalog/Relation.h"
+#include "support/Hash.h"
 
 #include <cstdint>
 #include <functional>
@@ -33,18 +34,9 @@
 
 namespace intro::datalog {
 
-/// splitmix64-style finalizer used to hash join-index keys.  The obvious
-/// `(RelationIndex << 8) ^ Mask` scheme collided whole families of keys —
-/// (rel 1, mask 0x100) and (rel 2, mask 0x200) both land on 0, and every
-/// analysis with more than a handful of indexed relations degenerated some
-/// unordered_map bucket into a linked list.  A full-avalanche mix makes
-/// the hash depend on every bit of both fields.
-inline uint64_t mixIndexKeyBits(uint64_t Packed) {
-  Packed += 0x9e3779b97f4a7c15ull;
-  Packed = (Packed ^ (Packed >> 30)) * 0xbf58476d1ce4e5b9ull;
-  Packed = (Packed ^ (Packed >> 27)) * 0x94d049bb133111ebull;
-  return Packed ^ (Packed >> 31);
-}
+/// The join-index map hashes its (relation, mask) keys with the shared
+/// finalizer (support/Hash.h).
+using intro::mixIndexKeyBits;
 
 /// A term in an atom: either a rule variable or a constant.
 struct Term {

@@ -26,20 +26,85 @@ uint64_t IdSet::findBitFrom(uint64_t From) const {
   return End;
 }
 
-void IdSet::maybePromote() {
-  if (Dense || Small.size() < std::max<uint32_t>(Threshold, 1))
-    return;
+bool IdSet::promotes(size_t Size, uint32_t MaxValue) const {
   // Density condition: the bitmap may not be sparser than one element per
   // word, i.e. 8 bitmap bytes per at most 8 vector bytes (2x overhead cap).
-  if (wordsFor(Small.back()) > Small.size())
-    return;
-  Words.assign(wordsFor(Small.back()), 0);
+  return Size >= std::max<uint32_t>(Threshold, 1) &&
+         wordsFor(MaxValue) <= Size;
+}
+
+void IdSet::toBitmap(size_t WordCount) {
+  Words.assign(WordCount, 0);
   for (uint32_t Value : Small)
     Words[Value >> 6] |= uint64_t(1) << (Value & 63);
   Count = Small.size();
   Small.clear();
   Small.shrink_to_fit();
   Dense = true;
+}
+
+void IdSet::maybePromote() {
+  if (!Dense && !Small.empty() && promotes(Small.size(), Small.back()))
+    toBitmap(wordsFor(Small.back()));
+}
+
+size_t IdSet::orWords(const IdSet &Src, size_t WordCount,
+                      SortedIdSet &NewElements) {
+  size_t Added = 0;
+  for (size_t Word = 0; Word < WordCount; ++Word) {
+    // The new elements of each word are Src & ~this.
+    uint64_t Fresh = Src.Words[Word] & ~Words[Word];
+    if (Fresh == 0)
+      continue;
+    Words[Word] |= Fresh;
+    Added += static_cast<size_t>(__builtin_popcountll(Fresh));
+    while (Fresh != 0) {
+      unsigned Bit = static_cast<unsigned>(__builtin_ctzll(Fresh));
+      NewElements.push_back(static_cast<uint32_t>((Word << 6) + Bit));
+      Fresh &= Fresh - 1;
+    }
+  }
+  Count += Added;
+  return Added;
+}
+
+void IdSet::mergeNewSorted(const uint32_t *Begin, const uint32_t *End) {
+  assert(!Dense && Begin != End && "merge into a small set");
+  size_t Old = Small.size();
+  size_t Final = Old + static_cast<size_t>(End - Begin);
+  uint32_t MaxValue = *(End - 1);
+  if (Old != 0)
+    MaxValue = std::max(MaxValue, Small.back());
+  // The promotion test comes first: a sparse outlier must not allocate.
+  if (promotes(Final, MaxValue)) {
+    // The merged vector would promote at once: build the bitmap from both
+    // runs instead, sized exactly as maybePromote would size it.
+    toBitmap(wordsFor(MaxValue));
+    for (const uint32_t *It = Begin; It != End; ++It) {
+      assert(!(Words[*It >> 6] >> (*It & 63) & 1) && "element already present");
+      Words[*It >> 6] |= uint64_t(1) << (*It & 63);
+    }
+    Count = Final;
+    return;
+  }
+  // In-place merge from the back: the larger head of either run moves to
+  // the end of the grown vector, so no element is overwritten unread.  The
+  // vector grows to exactly Final, never geometrically: growth slack on
+  // every small set raised the sweep's peak RSS by 2%.
+  if (Final > Small.capacity())
+    Small.reserve(Final);
+  Small.resize(Final);
+  size_t Out = Final;
+  size_t SmallIt = Old;
+  for (const uint32_t *It = End; It != Begin;) {
+    if (SmallIt != 0 && Small[SmallIt - 1] > *(It - 1)) {
+      Small[--Out] = Small[--SmallIt];
+    } else {
+      assert((SmallIt == 0 || Small[SmallIt - 1] != *(It - 1)) &&
+             "element already present");
+      Small[--Out] = *--It;
+    }
+  }
 }
 
 void IdSet::demote() {
@@ -112,14 +177,9 @@ size_t IdSet::unionWithDelta(const uint32_t *Begin, const uint32_t *End,
   std::set_difference(Begin, End, Small.begin(), Small.end(),
                       std::back_inserter(NewElements));
   size_t Added = NewElements.size() - FirstNew;
-  if (Added == 0)
-    return 0;
-  SortedIdSet Merged;
-  Merged.reserve(Small.size() + Added);
-  std::merge(Small.begin(), Small.end(), NewElements.begin() + FirstNew,
-             NewElements.end(), std::back_inserter(Merged));
-  Small.swap(Merged);
-  maybePromote();
+  if (Added != 0)
+    mergeNewSorted(NewElements.data() + FirstNew,
+                   NewElements.data() + NewElements.size());
   return Added;
 }
 
@@ -131,50 +191,50 @@ size_t IdSet::unionWithDelta(const IdSet &Src, SortedIdSet &NewElements) {
                           Src.Small.data() + Src.Small.size(), NewElements);
 
   if (Dense) {
-    // Word-wise OR; the new elements of each word are Src & ~Dst.  Both
-    // sets satisfy the density invariant, so growing to the wider of the
-    // two cannot trip the sparse-outlier cap — settle capacity directly.
+    // Word-wise OR.  Both sets satisfy the density invariant, so growing to
+    // the wider of the two cannot trip the sparse-outlier cap — settle
+    // capacity directly.
     if (Src.Words.size() > Words.size())
       Words.resize(Src.Words.size(), 0);
-    size_t Added = 0;
-    for (size_t Word = 0; Word < Src.Words.size(); ++Word) {
-      uint64_t Fresh = Src.Words[Word] & ~Words[Word];
-      if (Fresh == 0)
-        continue;
-      Words[Word] |= Fresh;
-      Added += static_cast<size_t>(__builtin_popcountll(Fresh));
-      while (Fresh != 0) {
-        unsigned Bit = static_cast<unsigned>(__builtin_ctzll(Fresh));
-        NewElements.push_back(static_cast<uint32_t>((Word << 6) + Bit));
-        Fresh &= Fresh - 1;
-      }
-    }
-    Count += Added;
-    return Added;
+    return orWords(Src, Src.Words.size(), NewElements);
   }
 
-  // Small destination, dense source: one ascending merge pass over both.
-  SortedIdSet Merged;
-  Merged.reserve(Small.size() + Src.size());
+  // Small destination, dense source.  Count the new elements and find the
+  // union's maximum first, allocating nothing: if the union promotes, the
+  // small set becomes a bitmap of exactly wordsFor(max) words and Src is
+  // OR-ed in word by word (Src's words past that are zero).
+  size_t Common = 0;
+  for (uint32_t Value : Small)
+    Common += Src.contains(Value) ? 1 : 0;
+  if (Common == Src.Count)
+    return 0;
+  size_t Top = Src.Words.size();
+  while (Src.Words[Top - 1] == 0)
+    --Top;
+  uint32_t MaxValue = static_cast<uint32_t>(
+      (Top - 1) * 64 + 63 -
+      static_cast<size_t>(__builtin_clzll(Src.Words[Top - 1])));
+  if (!Small.empty())
+    MaxValue = std::max(MaxValue, Small.back());
+  if (promotes(Small.size() + Src.Count - Common, MaxValue)) {
+    toBitmap(wordsFor(MaxValue));
+    return orWords(Src, Top, NewElements);
+  }
+  // Otherwise the new elements are Src minus Small, found in one ascending
+  // pass over both, and merged in place.
   size_t FirstNew = NewElements.size();
   auto SmallIt = Small.begin();
   Src.forEach([&](uint32_t Value) {
     while (SmallIt != Small.end() && *SmallIt < Value)
-      Merged.push_back(*SmallIt++);
-    if (SmallIt != Small.end() && *SmallIt == Value) {
       ++SmallIt;
-      Merged.push_back(Value);
+    if (SmallIt != Small.end() && *SmallIt == Value)
       return;
-    }
-    Merged.push_back(Value);
     NewElements.push_back(Value);
   });
-  Merged.insert(Merged.end(), SmallIt, Small.end());
   size_t Added = NewElements.size() - FirstNew;
-  if (Added == 0)
-    return 0;
-  Small.swap(Merged);
-  maybePromote();
+  if (Added != 0)
+    mergeNewSorted(NewElements.data() + FirstNew,
+                   NewElements.data() + NewElements.size());
   return Added;
 }
 
@@ -194,18 +254,7 @@ void IdSet::insertNewSorted(const SortedIdSet &Values) {
     Count += Values.size();
     return;
   }
-  if (Small.empty() || Small.back() < Values.front()) {
-    Small.insert(Small.end(), Values.begin(), Values.end());
-  } else {
-    SortedIdSet Merged;
-    Merged.reserve(Small.size() + Values.size());
-    std::merge(Small.begin(), Small.end(), Values.begin(), Values.end(),
-               std::back_inserter(Merged));
-    assert(std::adjacent_find(Merged.begin(), Merged.end()) == Merged.end() &&
-           "insertNewSorted element already present");
-    Small.swap(Merged);
-  }
-  maybePromote();
+  mergeNewSorted(Values.data(), Values.data() + Values.size());
 }
 
 bool IdSet::operator==(const IdSet &Other) const {

@@ -22,10 +22,12 @@
 /// small dense set) demotes back to the vector instead of allocating a
 /// gigantic bitmap.
 ///
-/// The API mirrors SetUtils.h (contains / insert / union-with-delta) plus
-/// the batched primitive the solver's difference propagation is built on:
-/// unionWithDelta(Src) merges a whole source set in one pass and reports
-/// exactly the genuinely new elements, in ascending order.  Iteration is
+/// The API mirrors SetUtils.h (contains / insert) plus the batched
+/// primitive the solver's difference propagation is built on:
+/// unionWithDelta(Src, NewElements) merges a whole source set in one pass
+/// and appends exactly the genuinely new elements, in ascending order, to
+/// NewElements.  A small-set union whose result would promote builds the
+/// bitmap directly; any other small-set union merges in place.  Iteration is
 /// always in ascending handle order in both representations, so results
 /// derived from an IdSet keep the canonical sorted encoding.
 ///
@@ -76,13 +78,6 @@ public:
   /// to \p NewElements in ascending order (the vector is not cleared).
   /// \returns the number of elements added.  \p Src may be *this (no-op).
   size_t unionWithDelta(const IdSet &Src, SortedIdSet &NewElements);
-
-  /// Convenience overload: \returns the new elements as a fresh vector.
-  SortedIdSet unionWithDelta(const IdSet &Src) {
-    SortedIdSet NewElements;
-    unionWithDelta(Src, NewElements);
-    return NewElements;
-  }
 
   /// Merges the sorted duplicate-free range [\p Begin, \p End) into this
   /// set, appending new elements to \p NewElements.  \returns the number
@@ -206,10 +201,30 @@ private:
     return static_cast<size_t>(MaxValue >> 6) + 1;
   }
 
-  /// Promotes to the bitmap representation when the set is past the
-  /// threshold AND at least one element per word dense, which bounds bitmap
-  /// bytes by 2x the vector bytes.
+  /// The promotion rule: \returns true if a small set of \p Size elements
+  /// whose largest is \p MaxValue is past the threshold AND at least one
+  /// element per word dense, which bounds bitmap bytes by 2x the vector
+  /// bytes.
+  bool promotes(size_t Size, uint32_t MaxValue) const;
+
+  /// Switches the small set to a bitmap of \p WordCount words (enough for
+  /// its maximum) holding the same elements.
+  void toBitmap(size_t WordCount);
+
+  /// Promotes the small set to the bitmap representation if promotes().
   void maybePromote();
+
+  /// ORs the first \p WordCount words of the bitmap \p Src into this
+  /// bitmap, which must have at least that many; appends the new elements
+  /// to \p NewElements.  \returns how many there were.
+  size_t orWords(const IdSet &Src, size_t WordCount, SortedIdSet &NewElements);
+
+  /// Adds the sorted values [\p Begin, \p End) — non-empty, none present,
+  /// not aliasing Small — to the small set.  When the result promotes, the
+  /// bitmap (wordsFor(max) words, as maybePromote sizes it) is built
+  /// straight from the old and new elements; otherwise the vector grows and
+  /// the two runs merge in place from the back.
+  void mergeNewSorted(const uint32_t *Begin, const uint32_t *End);
 
   /// Rebuilds the sorted vector from the bitmap (sparse-outlier fallback).
   void demote();

@@ -6,8 +6,9 @@
 ///
 /// \file
 /// Points-to sets are represented as sorted vectors of dense 32-bit handles.
-/// This header provides the handful of set operations the solver needs:
-/// membership, insertion, and "merge the delta in, returning what was new".
+/// This header provides the handful of sorted-vector operations the rest of
+/// the code needs: membership, insertion and normalization.  The solver's
+/// batched union lives in IdSet (support/IdSet.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,24 +36,6 @@ inline bool setInsert(SortedIdSet &Set, uint32_t Value) {
     return false;
   Set.insert(It, Value);
   return true;
-}
-
-/// Merges sorted \p Delta into \p Set, appending the genuinely new elements
-/// to \p NewElements (which is not cleared).
-inline void setUnionInto(SortedIdSet &Set, const SortedIdSet &Delta,
-                         SortedIdSet &NewElements) {
-  if (Delta.empty())
-    return;
-  size_t FirstNew = NewElements.size();
-  std::set_difference(Delta.begin(), Delta.end(), Set.begin(), Set.end(),
-                      std::back_inserter(NewElements));
-  if (NewElements.size() == FirstNew)
-    return;
-  SortedIdSet Merged;
-  Merged.reserve(Set.size() + (NewElements.size() - FirstNew));
-  std::merge(Set.begin(), Set.end(), NewElements.begin() + FirstNew,
-             NewElements.end(), std::back_inserter(Merged));
-  Set.swap(Merged);
 }
 
 /// Sorts \p Values and removes duplicates in place.

@@ -7,7 +7,8 @@
 /// \file
 /// support/IdSet.h unit tests: the vector <-> bitmap promotion boundary,
 /// every mixed-representation union pairing, empty/duplicate/max-handle
-/// edges, the sparse-outlier demotion guard, and a property test of random
+/// edges, the sparse-outlier demotion guard, direct promotion of small-set
+/// unions checked against merge-then-promote, and a property test of random
 /// operation interleavings against a std::set reference model.
 ///
 //===----------------------------------------------------------------------===//
@@ -20,6 +21,7 @@
 #include <algorithm>
 #include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 using namespace intro;
@@ -449,4 +451,195 @@ TEST(IdSet, RandomOpInterleavingsMatchStdSetModel) {
     std::vector<uint32_t> Iterated(Set.begin(), Set.end());
     EXPECT_EQ(Iterated, std::vector<uint32_t>(Model.begin(), Model.end()));
   }
+}
+
+// --- Direct promotion: small-set unions that land past the threshold ------
+
+namespace {
+
+/// What a union into a small set must produce, computed the slow way:
+/// merge into a sorted vector, then apply the promotion rule once — a
+/// bitmap of wordsFor(max) words iff the size reaches the threshold and
+/// wordsFor(max) <= size.
+struct MergeThenPromote {
+  std::vector<uint32_t> Contents;
+  std::vector<uint32_t> NewElements;
+  bool Dense = false;
+  uint64_t Bytes = 0;
+};
+
+MergeThenPromote mergeThenPromote(const std::vector<uint32_t> &Dst,
+                                  const std::vector<uint32_t> &Src) {
+  MergeThenPromote Expected;
+  std::set<uint32_t> Merged(Dst.begin(), Dst.end());
+  for (uint32_t Value : Src) // Src ascends, so the new elements do too.
+    if (Merged.insert(Value).second)
+      Expected.NewElements.push_back(Value);
+  Expected.Contents.assign(Merged.begin(), Merged.end());
+  uint64_t Words = Expected.Contents.back() / 64 + 1;
+  Expected.Dense = Expected.Contents.size() >= IdSet::DefaultPromoteThreshold &&
+                   Words <= Expected.Contents.size();
+  Expected.Bytes = Expected.Dense ? Words * sizeof(uint64_t)
+                                  : Expected.Contents.size() * sizeof(uint32_t);
+  return Expected;
+}
+
+void expectSame(const IdSet &Set, const SortedIdSet &NewElements,
+                const MergeThenPromote &Expected, const std::string &Label) {
+  EXPECT_EQ(contents(Set), Expected.Contents) << Label;
+  EXPECT_EQ(NewElements, Expected.NewElements) << Label;
+  EXPECT_EQ(Set.isDense(), Expected.Dense) << Label;
+  EXPECT_EQ(Set.approxBytes(), Expected.Bytes) << Label;
+  EXPECT_EQ(Set.size(), Expected.Contents.size()) << Label;
+}
+
+/// \p Count distinct ascending handles whose largest needs exactly
+/// \p WordCount bitmap words: floor(i * max / (Count - 1)) for max =
+/// 64 * (WordCount - 1), or [0, Count) when WordCount is 1.
+std::vector<uint32_t> spreadHandles(uint32_t Count, uint32_t WordCount) {
+  uint32_t Max = WordCount == 1 ? Count - 1 : 64 * (WordCount - 1);
+  std::vector<uint32_t> Handles;
+  for (uint64_t Index = 0; Index < Count; ++Index)
+    Handles.push_back(static_cast<uint32_t>(Index * Max / (Count - 1)));
+  return Handles;
+}
+
+/// A small (default-threshold) set built one insert at a time.
+IdSet smallSet(const std::vector<uint32_t> &Values) {
+  IdSet Set;
+  for (uint32_t Value : Values)
+    Set.insert(Value);
+  EXPECT_FALSE(Set.isDense());
+  return Set;
+}
+
+/// The union layouts: every final size around the default threshold, at
+/// the density edge (wordsFor(max) = size), one word past it, and compact.
+struct Layout {
+  uint32_t Final;
+  uint32_t WordCount;
+};
+
+std::vector<Layout> layouts() {
+  std::vector<Layout> All;
+  for (uint32_t Final : {47u, 48u, 49u})
+    for (uint32_t WordCount : {Final, Final + 1, 1u})
+      All.push_back({Final, WordCount});
+  return All;
+}
+
+std::string label(const char *Path, Layout L, const char *Split) {
+  return std::string(Path) + " final " + std::to_string(L.Final) + " words " +
+         std::to_string(L.WordCount) + " " + Split;
+}
+
+} // namespace
+
+TEST(IdSetDirectPromotion, SortedRangeIntoSmallMatchesMergeThenPromote) {
+  for (Layout L : layouts()) {
+    std::vector<uint32_t> All = spreadHandles(L.Final, L.WordCount);
+    uint32_t Half = L.Final / 2;
+    // The source overlaps the destination by three handles, and the
+    // maximum sits in the source or in the destination.
+    for (bool MaxInSource : {true, false}) {
+      std::vector<uint32_t> Low(All.begin(), All.begin() + Half + 3);
+      std::vector<uint32_t> High(All.begin() + Half, All.end());
+      const std::vector<uint32_t> &Dst = MaxInSource ? Low : High;
+      const std::vector<uint32_t> &Src = MaxInSource ? High : Low;
+      IdSet Set = smallSet(Dst);
+      SortedIdSet NewElements;
+      EXPECT_EQ(Set.unionWithDelta(Src, NewElements), L.Final - Dst.size());
+      expectSame(Set, NewElements, mergeThenPromote(Dst, Src),
+                 label("range", L, MaxInSource ? "max in src" : "max in dst"));
+    }
+  }
+}
+
+TEST(IdSetDirectPromotion, DenseSourceIntoSmallMatchesMergeThenPromote) {
+  for (Layout L : layouts()) {
+    std::vector<uint32_t> All = spreadHandles(L.Final, L.WordCount);
+    uint32_t Half = L.Final / 2;
+    // A low prefix is as dense as a bitmap may be; the destination holds
+    // the rest, the maximum, and three of the source's handles.
+    std::vector<uint32_t> Low(All.begin(), All.begin() + Half + 3);
+    std::vector<uint32_t> High(All.begin() + Half, All.end());
+    IdSet Src(/*PromoteThreshold=*/1);
+    for (uint32_t Value : Low)
+      Src.insert(Value);
+    ASSERT_TRUE(Src.isDense()) << label("dense", L, "");
+    IdSet Set = smallSet(High);
+    SortedIdSet NewElements;
+    EXPECT_EQ(Set.unionWithDelta(Src, NewElements), L.Final - High.size());
+    expectSame(Set, NewElements, mergeThenPromote(High, Low),
+               label("dense", L, "max in dst"));
+  }
+}
+
+TEST(IdSetDirectPromotion, InsertNewSortedIntoSmallMatchesMergeThenPromote) {
+  for (Layout L : layouts()) {
+    std::vector<uint32_t> All = spreadHandles(L.Final, L.WordCount);
+    uint32_t Half = L.Final / 2;
+    for (bool MaxInSource : {true, false}) {
+      // Disjoint halves, interleaved so the merge really interleaves.
+      std::vector<uint32_t> Even, Odd;
+      for (uint32_t Index = 0; Index < L.Final; ++Index)
+        (Index % 2 == 0 ? Even : Odd).push_back(All[Index]);
+      bool MaxIsEven = (L.Final - 1) % 2 == 0;
+      const std::vector<uint32_t> &Src = MaxIsEven == MaxInSource ? Even : Odd;
+      const std::vector<uint32_t> &Dst = MaxIsEven == MaxInSource ? Odd : Even;
+      IdSet Set = smallSet(Dst);
+      Set.insertNewSorted(Src);
+      expectSame(Set, Src, mergeThenPromote(Dst, Src),
+                 label("insertNewSorted", L,
+                       MaxInSource ? "max in src" : "max in dst"));
+      // The append-after-back shape: every new handle above the set's.
+      std::vector<uint32_t> Below(All.begin(), All.begin() + Half);
+      std::vector<uint32_t> Above(All.begin() + Half, All.end());
+      IdSet Appended = smallSet(Below);
+      Appended.insertNewSorted(Above);
+      expectSame(Appended, Above, mergeThenPromote(Below, Above),
+                 label("insertNewSorted", L, "append"));
+    }
+  }
+}
+
+TEST(IdSetDirectPromotion, SparseOutlierStaysAVector) {
+  // Past the threshold, but one handle near UINT32_MAX would need a 2^26
+  // word bitmap: every entry point must keep the vector (and must not try
+  // to allocate the bitmap first).
+  constexpr uint32_t Outlier = std::numeric_limits<uint32_t>::max() - 1;
+  std::vector<uint32_t> Dst, Src;
+  for (uint32_t Value = 0; Value < 30; ++Value)
+    Dst.push_back(2 * Value);
+  for (uint32_t Value = 0; Value < 25; ++Value)
+    Src.push_back(2 * Value + 1);
+  Src.push_back(Outlier);
+
+  IdSet Range = smallSet(Dst);
+  SortedIdSet NewElements;
+  EXPECT_EQ(Range.unionWithDelta(Src, NewElements), Src.size());
+  expectSame(Range, NewElements, mergeThenPromote(Dst, Src), "range outlier");
+  EXPECT_FALSE(Range.isDense());
+
+  IdSet Inserted = smallSet(Dst);
+  Inserted.insertNewSorted(Src);
+  expectSame(Inserted, Src, mergeThenPromote(Dst, Src),
+             "insertNewSorted outlier");
+  EXPECT_FALSE(Inserted.isDense());
+
+  // A dense source cannot hold an outlier, but the small destination can.
+  std::vector<uint32_t> Compact(64);
+  for (uint32_t Value = 0; Value < 64; ++Value)
+    Compact[Value] = Value;
+  IdSet DenseSrc(/*PromoteThreshold=*/1);
+  for (uint32_t Value : Compact)
+    DenseSrc.insert(Value);
+  ASSERT_TRUE(DenseSrc.isDense());
+  std::vector<uint32_t> WithOutlier = {100, Outlier};
+  IdSet FromDense = smallSet(WithOutlier);
+  NewElements.clear();
+  EXPECT_EQ(FromDense.unionWithDelta(DenseSrc, NewElements), 64u);
+  expectSame(FromDense, NewElements, mergeThenPromote(WithOutlier, Compact),
+             "dense source, outlier in dst");
+  EXPECT_FALSE(FromDense.isDense());
 }

@@ -575,3 +575,65 @@ TEST(ResultAssembly, OneHeapUnderManyContextsProjectsOnce) {
   EXPECT_EQ(R.throwsOf(Main.id()), Single);
   expectProjectionsMatchDumps(R, "many-contexts");
 }
+
+TEST(ResultAssembly, WideSlotsReadBackByScanningBesideSmallSlots) {
+  // 256 allocation sites flow into one hub var and, through two receivers,
+  // into Sink.put's formal under two contexts and into two field keys.  Each
+  // of those slots holds more distinct heaps than finish()'s heap bitmap has
+  // words, so it is read back by scanning the bitmap; every site's own var
+  // and the static field hold one heap each and are read back by sorting.
+  // Slots are visited in var-id order, then fields, then static fields, so
+  // small slots follow wide ones and see whatever bits a wide one left.
+  constexpr uint32_t NumSites = 256;
+
+  ProgramBuilder B;
+  TypeId Object = B.cls("Object");
+  TypeId Item = B.cls("Item", Object);
+  TypeId Sink = B.cls("Sink", Object);
+  FieldId Held = B.field(Sink, "held");
+  FieldId Shared = B.field(Sink, "shared");
+
+  MethodBuilder Put = B.method(Sink, "put", 1);
+  VarId X = Put.formal(0);
+  Put.store(Put.thisVar(), Held, X);
+
+  MethodBuilder Main = B.method(Object, "main", 0, /*IsStatic=*/true);
+  B.entry(Main.id());
+  VarId Hub = Main.local("hub");
+  std::vector<VarId> Singles;
+  for (uint32_t Index = 0; Index < NumSites; ++Index) {
+    VarId T = Main.local("t" + std::to_string(Index));
+    Main.alloc(T, Item);
+    Main.move(Hub, T);
+    Singles.push_back(T);
+  }
+  for (uint32_t Index = 0; Index < 2; ++Index) {
+    VarId S = Main.local("s" + std::to_string(Index));
+    Main.alloc(S, Sink);
+    Main.vcall(Main.local("u" + std::to_string(Index)), S, "put", {Hub});
+  }
+  Main.sstore(Shared, Singles.back());
+  Program Prog = B.take();
+  ASSERT_TRUE(validateProgram(Prog).empty());
+
+  auto Policy = makeObjectPolicy(Prog, 2, 1);
+  ContextTable Table;
+  SolverOptions Options;
+  Options.KeepTuples = true;
+  PointsToResult R = solvePointsTo(Prog, *Policy, Table, Options);
+  ASSERT_EQ(R.Status, SolveStatus::Completed);
+
+  size_t BitmapWords = (Prog.numHeaps() + 63) / 64;
+  EXPECT_EQ(R.pointsTo(Hub).size(), NumSites);
+  EXPECT_EQ(R.pointsTo(X).size(), NumSites);
+  EXPECT_GT(R.pointsTo(X).size(), BitmapWords);
+  size_t WideFields = 0;
+  for (const auto &[Key, Heaps] : R.FieldHeaps)
+    WideFields += Heaps.size() > BitmapWords ? 1 : 0;
+  EXPECT_EQ(WideFields, 2u);
+  for (VarId T : Singles)
+    EXPECT_EQ(R.pointsTo(T).size(), 1u);
+  EXPECT_EQ(R.StaticFieldHeaps.at(Shared.index()),
+            R.pointsTo(Singles.back()));
+  expectProjectionsMatchDumps(R, "wide-slots");
+}

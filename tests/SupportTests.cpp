@@ -168,15 +168,6 @@ TEST(SetUtils, InsertAndContains) {
   EXPECT_EQ(Set, (SortedIdSet{1, 5, 9}));
 }
 
-TEST(SetUtils, UnionInto) {
-  SortedIdSet Set = {1, 3, 5};
-  SortedIdSet Delta = {2, 3, 6};
-  SortedIdSet NewElements;
-  setUnionInto(Set, Delta, NewElements);
-  EXPECT_EQ(Set, (SortedIdSet{1, 2, 3, 5, 6}));
-  EXPECT_EQ(NewElements, (SortedIdSet{2, 6}));
-}
-
 TEST(SetUtils, NormalizeSortsAndDedupes) {
   SortedIdSet Values = {5, 1, 5, 3, 1};
   setNormalize(Values);
