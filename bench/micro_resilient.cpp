@@ -103,24 +103,4 @@ static void BM_ResilientFullLadder(benchmark::State &State) {
 }
 BENCHMARK(BM_ResilientFullLadder);
 
-/// The same forced-failure ladder in portfolio mode: the rungs race on a
-/// pool instead of serializing, so this prices the concurrency win (and
-/// overhead) against BM_ResilientFullLadder on identical work.
-static void BM_ResilientPortfolioLadder(benchmark::State &State) {
-  Program Prog = chartProgram();
-  auto Refined = makeObjectPolicy(Prog, 2, 1);
-  ResilientOptions Options;
-  Options.Portfolio = true;
-  Options.Workers = 4;
-  for (DegradationLevel Level :
-       {DegradationLevel::Deep, DegradationLevel::IntroB,
-        DegradationLevel::IntroA, DegradationLevel::TightenedIntroA})
-    Options.faultsFor(Level).FailAtPop = 1;
-  for (auto _ : State) {
-    ResilientOutcome Out = runResilient(Prog, *Refined, Options);
-    benchmark::DoNotOptimize(Out.Trace.size());
-  }
-}
-BENCHMARK(BM_ResilientPortfolioLadder);
-
 BENCHMARK_MAIN();

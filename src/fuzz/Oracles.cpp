@@ -14,7 +14,6 @@
 #include "frontend/Printer.h"
 #include "fuzz/Mutator.h"
 #include "introspect/Driver.h"
-#include "introspect/Resilient.h"
 #include "ir/Interpreter.h"
 #include "ir/Program.h"
 #include "ir/Validator.h"
@@ -47,8 +46,6 @@ const char *intro::fuzz::oracleKindName(OracleKind Kind) {
     return "introspective-subset";
   case OracleKind::CacheWarmColdParity:
     return "cache-parity";
-  case OracleKind::PortfolioParity:
-    return "portfolio-parity";
   case OracleKind::ServedLocalParity:
     return "served-parity";
   }
@@ -73,8 +70,7 @@ OracleSet OracleSet::defaults() {
       .enable(OracleKind::Soundness)
       .enable(OracleKind::ReferenceEquivalence)
       .enable(OracleKind::IntrospectiveSubset)
-      .enable(OracleKind::CacheWarmColdParity)
-      .enable(OracleKind::PortfolioParity);
+      .enable(OracleKind::CacheWarmColdParity);
   return Set;
 }
 
@@ -220,7 +216,6 @@ struct Harness {
   void checkReferenceEquivalence();
   void checkIntrospectiveSubset();
   void checkCacheParity();
-  void checkPortfolioParity();
   void checkServedParity();
 };
 
@@ -548,33 +543,6 @@ void Harness::checkCacheParity() {
     finding(OracleKind::CacheWarmColdParity, "pass-b", "warm != cold: " + Diff);
 }
 
-void Harness::checkPortfolioParity() {
-  if (!Opt.Oracles.has(OracleKind::PortfolioParity))
-    return;
-  ResilientOptions Options;
-  Options.DeepBudget = cappedBudget();
-  Options.RefinedBudget = cappedBudget();
-  Options.FirstPassBudget = cappedBudget();
-  auto Refined = makeObjectPolicy(Prog, 2, 1);
-  ResilientOutcome Sequential = runResilient(Prog, *Refined, Options);
-  Options.Portfolio = true;
-  Options.Workers = 2;
-  ResilientOutcome Racing = runResilient(Prog, *Refined, Options);
-  ++Out.ChecksRun;
-  if (Sequential.Level != Racing.Level) {
-    finding(OracleKind::PortfolioParity, "ladder",
-            std::string("winning rung differs: sequential ") +
-                degradationLevelName(Sequential.Level) + " vs portfolio " +
-                degradationLevelName(Racing.Level));
-    return;
-  }
-  if (std::string Diff = describeResultDiff(Sequential.Result, Racing.Result);
-      !Diff.empty())
-    finding(OracleKind::PortfolioParity,
-            degradationLevelName(Sequential.Level),
-            "portfolio != sequential: " + Diff);
-}
-
 /// The run report's deterministic section as raw bytes (the ServeTests
 /// contract): everything from the "deterministic" key up to the "timing"
 /// key, with the per-attempt wall-clock values pinned.
@@ -701,7 +669,6 @@ OracleOutcome intro::fuzz::checkProgram(const Program &Prog,
   H.checkReferenceEquivalence();
   H.checkIntrospectiveSubset();
   H.checkCacheParity();
-  H.checkPortfolioParity();
   H.checkServedParity();
   return std::move(H.Out);
 }

@@ -21,8 +21,6 @@
 ///    least as precise as the insensitive first pass (metamorphic).
 ///  - **CacheWarmColdParity**: a Pass-A cache hit reproduces the cold run's
 ///    results exactly (metamorphic).
-///  - **PortfolioParity**: the racing ladder returns the same rung and the
-///    same bits as the sequential walk (metamorphic).
 ///  - **ServedLocalParity**: a job submitted through the serve daemon
 ///    reports the same deterministic bytes as the same job run locally
 ///    (metamorphic; forks children, so opt-in).
@@ -60,12 +58,11 @@ enum class OracleKind : uint8_t {
   ReferenceEquivalence,
   IntrospectiveSubset,
   CacheWarmColdParity,
-  PortfolioParity,
   ServedLocalParity,
 };
 
 /// Number of OracleKind values.
-inline constexpr size_t NumOracleKinds = 8;
+inline constexpr size_t NumOracleKinds = 7;
 
 /// \returns a stable kebab-case name for \p Kind (reports, repro names).
 const char *oracleKindName(OracleKind Kind);

@@ -28,7 +28,6 @@ namespace intro {
 
 class PointsToResult;
 class Program;
-class ThreadPool;
 
 /// All six metrics, indexed by the raw id of the respective entity.
 struct IntrospectionMetrics {
@@ -63,16 +62,6 @@ struct IntrospectionMetrics {
 /// insensitive) first analysis pass over \p Prog.
 IntrospectionMetrics computeIntrospectionMetrics(const Program &Prog,
                                                  const PointsToResult &Insens);
-
-/// Parallel variant: shards the per-site, per-field-cell, and per-method
-/// sweeps across \p Pool, accumulating into per-shard buffers that are
-/// merged in shard-index order.  Every merge is an integer sum or max —
-/// commutative and associative — so the result is bit-identical to the
-/// sequential computation regardless of worker count or scheduling.
-/// Must not be called from a task running on \p Pool itself.
-IntrospectionMetrics computeIntrospectionMetrics(const Program &Prog,
-                                                 const PointsToResult &Insens,
-                                                 ThreadPool &Pool);
 
 } // namespace intro
 

@@ -11,13 +11,10 @@
 #include "ir/Program.h"
 #include "support/Json.h"
 #include "support/TableWriter.h"
-#include "support/ThreadPool.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
 
-#include <algorithm>
 #include <cmath>
-#include <deque>
 #include <sstream>
 #include <utility>
 
@@ -294,290 +291,6 @@ private:
   bool Stopped = false; ///< Cancellation fired; no further rungs.
 };
 
-//===----------------------------------------------------------------------===//
-// Portfolio mode: race the rungs instead of walking them.
-//===----------------------------------------------------------------------===//
-
-/// One racing rung: its own linked cancellation token (so losers can be
-/// stopped individually while the caller's token still reaches everyone),
-/// the policy it solves under (owned for introspective rungs), and the
-/// pending / harvested result.
-struct PortfolioRung {
-  DegradationLevel Level;
-  uint32_t Round = 0;
-  CancellationToken Cancel;
-  std::unique_ptr<ContextPolicy> OwnedPolicy; ///< Null for borrowed policies.
-  RefinementExceptions Exceptions; ///< Installed exceptions (intro rungs).
-  std::future<std::pair<PointsToResult, double>> Pending;
-  PointsToResult Result;
-  double Seconds = 0;
-  bool Harvested = false;
-};
-
-/// The concurrent counterpart of Ladder.  Launches the deep attempt and
-/// the insensitive pre-analysis together; once the pre-analysis lands,
-/// computes the metrics (in parallel) and launches every introspective
-/// rung.  The winner is then decided by harvesting in ladder order — the
-/// first completed rung is exactly the one the sequential walk would have
-/// stopped at, because the rungs above it all failed their (deterministic)
-/// budgets.  Everything below the winner is cancelled.
-class Portfolio {
-public:
-  Portfolio(const Program &Prog, const ContextPolicy &RefinedPolicy,
-            const ResilientOptions &Options)
-      : Prog(Prog), Refined(RefinedPolicy), Options(Options) {}
-
-  ResilientOutcome run() {
-    Timer Total;
-    auto Insensitive = makeInsensitivePolicy();
-    // Never more workers than rungs that can exist; never fewer than one.
-    unsigned MaxTasks = 2 + (Options.AttemptIntroB ? 1 : 0) +
-                        (Options.AttemptIntroA ? 1 : 0) +
-                        Options.TightenedRounds;
-    unsigned Workers =
-        Options.Workers ? Options.Workers : ThreadPool::defaultWorkerCount();
-    Workers = std::max(1u, std::min(Workers, MaxTasks));
-    ThreadPool Pool(Workers);
-    try {
-      return race(Pool, *Insensitive, Workers, Total);
-    } catch (...) {
-      // A throwing rung (or metric shard) must not leave the others
-      // running for their full budgets while the pool drains.
-      cancelAll();
-      throw;
-    }
-  }
-
-private:
-  ResilientOutcome race(ThreadPool &Pool, const ContextPolicy &Insensitive,
-                        unsigned Workers, const Timer &Total) {
-    PortfolioRung *Deep = nullptr;
-    if (Options.AttemptDeep)
-      Deep = &launch(Pool, DegradationLevel::Deep, Refined,
-                     Options.DeepBudget);
-
-    // The Pass-A cache short-circuits the pre-analysis rung: a hit becomes
-    // a pre-harvested rung (stored stats in its trace row, load time as
-    // its Seconds) and the introspective rungs launch immediately.  Same
-    // fault-plan bypass as the sequential walk.
-    bool UseCache = Options.Cache && Options.CacheKey &&
-                    !Options.faultsFor(DegradationLevel::Insensitive).armed();
-    bool CacheHit = false;
-    PortfolioRung *FirstPtr = nullptr;
-    if (UseCache) {
-      cache::CachedPassA Entry;
-      Timer LoadClock;
-      if (Options.Cache->lookup(*Options.CacheKey, Entry)) {
-        Rungs.emplace_back();
-        PortfolioRung &Loaded = Rungs.back();
-        Loaded.Level = DegradationLevel::Insensitive;
-        Loaded.Result = std::move(Entry.Insens);
-        Loaded.Seconds = LoadClock.seconds();
-        Loaded.Harvested = true;
-        Out.Metrics = std::move(Entry.Metrics);
-        FirstPtr = &Loaded;
-        CacheHit = true;
-      }
-    }
-    if (!FirstPtr)
-      FirstPtr = &launch(Pool, DegradationLevel::Insensitive, Insensitive,
-                         Options.FirstPassBudget);
-    PortfolioRung &First = *FirstPtr;
-
-    // The pre-analysis gates every introspective rung; the deep attempt
-    // races on while we wait for it.
-    harvest(First);
-    bool FirstOk = isCompleted(First.Result.Status);
-
-    std::vector<PortfolioRung *> IntroRungs;
-    if (FirstOk) {
-      if (!CacheHit) {
-        Timer MetricClock;
-        {
-          // A dedicated pool: the main pool's workers may all be busy with
-          // solver runs, and metric shards must not queue behind a deep
-          // attempt that has minutes of budget left.
-          ThreadPool MetricPool(Workers);
-          Out.Metrics =
-              computeIntrospectionMetrics(Prog, First.Result, MetricPool);
-        }
-        Out.MetricSeconds = MetricClock.seconds();
-        if (UseCache) {
-          cache::CachedPassA Entry;
-          Entry.Insens = First.Result;
-          Entry.Metrics = Out.Metrics;
-          Options.Cache->store(*Options.CacheKey, Entry);
-        }
-      }
-
-      if (Options.AttemptIntroB)
-        IntroRungs.push_back(&launchIntro(
-            Pool, DegradationLevel::IntroB, "-IntroB",
-            applyHeuristicB(Prog, First.Result, Out.Metrics, Options.ParamsB),
-            Insensitive));
-      if (Options.AttemptIntroA)
-        IntroRungs.push_back(&launchIntro(
-            Pool, DegradationLevel::IntroA, "-IntroA",
-            applyHeuristicA(Prog, First.Result, Out.Metrics, Options.ParamsA),
-            Insensitive));
-      for (uint32_t Round = 1; Round <= Options.TightenedRounds; ++Round) {
-        HeuristicAParams Params =
-            tightened(Options.ParamsA, Options.BackoffMultiplier, Round);
-        std::string Suffix = "-IntroA-tight" + std::to_string(Round);
-        IntroRungs.push_back(&launchIntro(
-            Pool, DegradationLevel::TightenedIntroA, Suffix.c_str(),
-            applyHeuristicA(Prog, First.Result, Out.Metrics, Params),
-            Insensitive, Round));
-      }
-    }
-
-    // Decide the race in ladder order.  Budgets and fault plans are
-    // deterministic, so the rungs above the first completed one fail in
-    // both execution modes, making this exactly the sequential winner.
-    std::vector<PortfolioRung *> LadderOrder;
-    if (Deep)
-      LadderOrder.push_back(Deep);
-    LadderOrder.insert(LadderOrder.end(), IntroRungs.begin(),
-                       IntroRungs.end());
-    PortfolioRung *Winner = nullptr;
-    for (PortfolioRung *R : LadderOrder) {
-      harvest(*R);
-      if (isCompleted(R->Result.Status)) {
-        Winner = R;
-        break;
-      }
-    }
-    TRACE_COUNTER("portfolio.rungs_launched", Rungs.size());
-    if (Winner)
-      TRACE_INSTANT("portfolio.winner_level",
-                    static_cast<uint64_t>(Winner->Level));
-
-    // The race is decided: stop the losers, then collect them for the
-    // trace.  Launch order IS the sequential ladder-walk order (deep,
-    // insensitive pre-analysis, introB, introA, tightened rounds), so the
-    // trace order is deterministic even though completion order is not.
-    cancelAll();
-    for (PortfolioRung &R : Rungs)
-      harvest(R);
-    for (PortfolioRung &R : Rungs)
-      Out.Trace.push_back({R.Level, R.Result.AnalysisName, R.Result.Status,
-                           R.Result.Stats, R.Seconds, R.Round});
-
-    bool ExternalCancel = Options.Cancel && Options.Cancel->isCancelled();
-    if (Winner) {
-      Out.Result = std::move(Winner->Result);
-      Out.Level = Winner->Level;
-      Out.Exceptions = std::move(Winner->Exceptions);
-      if (Winner->Level == DegradationLevel::Deep) {
-        // Bit-compatibility with the sequential happy path, which never
-        // runs the pre-analysis or the metric queries.
-        Out.Metrics = IntrospectionMetrics();
-        Out.MetricSeconds = 0;
-      }
-    } else if (ExternalCancel) {
-      Out.Cancelled = true;
-      if (FirstOk) {
-        // Mirror the sequential fallback: a completed pre-analysis is
-        // handed back rather than a partial refined result.
-        Out.Result = std::move(First.Result);
-        Out.Level = DegradationLevel::Insensitive;
-      } else {
-        // The first cancelled partial in ladder order mirrors the rung
-        // the sequential walk was in when it observed the token.
-        PortfolioRung *Partial = &First;
-        for (PortfolioRung *R : LadderOrder)
-          if (R->Result.Status == SolveStatus::Cancelled) {
-            Partial = R;
-            break;
-          }
-        Out.Result = std::move(Partial->Result);
-        Out.Level = Partial->Level;
-      }
-    } else {
-      // Every refined rung failed on its budget: the pre-analysis result
-      // (completed, or the partial if even it failed) is the answer.
-      Out.Cancelled = First.Result.Status == SolveStatus::Cancelled;
-      Out.Result = std::move(First.Result);
-      Out.Level = DegradationLevel::Insensitive;
-      Out.Exceptions = RefinementExceptions();
-    }
-    Out.TotalSeconds = Total.seconds();
-    return std::move(Out);
-  }
-
-  /// Launches one rung on \p Pool.  \p Owned (if any) transfers policy
-  /// ownership into the rung; \p Policy must otherwise outlive the run.
-  PortfolioRung &launch(ThreadPool &Pool, DegradationLevel Level,
-                        const ContextPolicy &Policy, const SolveBudget &Budget,
-                        uint32_t Round = 0,
-                        std::unique_ptr<ContextPolicy> Owned = nullptr,
-                        RefinementExceptions Exceptions = {}) {
-    Rungs.emplace_back();
-    PortfolioRung &R = Rungs.back(); // deque: address stays valid.
-    R.Level = Level;
-    R.Round = Round;
-    R.OwnedPolicy = std::move(Owned);
-    R.Exceptions = std::move(Exceptions);
-    R.Cancel.linkTo(Options.Cancel);
-
-    SolverOptions SolverOpts;
-    SolverOpts.Budget = Budget;
-    SolverOpts.Cancel = &R.Cancel;
-    SolverOpts.CancelInterval = Options.CancelInterval;
-    SolverOpts.Faults = Options.faultsFor(Level);
-    const Program *ProgPtr = &Prog;
-    const ContextPolicy *PolicyPtr = &Policy;
-    R.Pending = Pool.submit([ProgPtr, PolicyPtr, SolverOpts, Level] {
-      // The rung span is recorded on the worker thread; the recorder merges
-      // per-thread buffers at flush, and summaries key on the name alone,
-      // so the merged content does not depend on which worker ran the rung.
-      trace::ScopedSpan RungSpan(rungSpanName(Level));
-      Timer Clock;
-      ContextTable Table;
-      PointsToResult Result =
-          solvePointsTo(*ProgPtr, *PolicyPtr, Table, SolverOpts);
-      return std::make_pair(std::move(Result), Clock.seconds());
-    });
-    return R;
-  }
-
-  PortfolioRung &launchIntro(ThreadPool &Pool, DegradationLevel Level,
-                             const char *NameSuffix,
-                             RefinementExceptions Exceptions,
-                             const ContextPolicy &Insensitive,
-                             uint32_t Round = 0) {
-    auto Policy = makeIntrospectivePolicy(Refined.name() + NameSuffix,
-                                          Insensitive, Refined, Exceptions);
-    const ContextPolicy &Ref = *Policy;
-    return launch(Pool, Level, Ref, Options.RefinedBudget, Round,
-                  std::move(Policy), std::move(Exceptions));
-  }
-
-  void harvest(PortfolioRung &R) {
-    if (R.Harvested)
-      return;
-    auto [Result, Seconds] = R.Pending.get();
-    R.Result = std::move(Result);
-    R.Seconds = Seconds;
-    R.Harvested = true;
-  }
-
-  void cancelAll() {
-    // One fan-out event for the whole sweep (count = rungs reached), not
-    // one per rung: the number of *launched* rungs is deterministic, and
-    // a single instant keeps it that way in the trace content.
-    TRACE_INSTANT("portfolio.cancel_fanout", Rungs.size());
-    for (PortfolioRung &R : Rungs)
-      R.Cancel.cancel();
-  }
-
-  const Program &Prog;
-  const ContextPolicy &Refined;
-  const ResilientOptions &Options;
-  ResilientOutcome Out;
-  std::deque<PortfolioRung> Rungs; ///< In ladder-walk (launch) order.
-};
-
 /// One attempt as a JSON object; \p Won marks the rung the outcome came
 /// from (false when writing a bare trace with no outcome context).
 void writeAttemptJson(JsonWriter &J, const Attempt &A, size_t Index,
@@ -620,11 +333,6 @@ intro::normalizeResilientOptions(const ResilientOptions &Options,
             "base thresholds)";
     Notes.push_back(Note.str());
     N.BackoffMultiplier = 1.0;
-  }
-  if (N.Portfolio && N.Workers == 0) {
-    N.Workers = std::max(1u, ThreadPool::defaultWorkerCount());
-    Notes.push_back("Workers=0 (auto) resolved to " +
-                    std::to_string(N.Workers));
   }
   return N;
 }
@@ -743,10 +451,6 @@ void intro::writeResilientOptionsJson(JsonWriter &J,
   J.endObject();
   J.key("cancel_interval");
   J.value(Options.CancelInterval);
-  J.key("portfolio");
-  J.value(Options.Portfolio);
-  J.key("workers");
-  J.value(static_cast<uint64_t>(Options.Workers));
   // Fault plans travel too: a supervisor relaunching a job must reproduce
   // the exact injected behaviour in the replacement child (tests depend on
   // it).  Only armed plans are written, keyed by level name.
@@ -800,10 +504,6 @@ bool intro::parseResilientOptionsJson(const JsonValue &Value,
   uint64_t Interval = Options.CancelInterval;
   if (Value.getUint("cancel_interval", Interval))
     Options.CancelInterval = static_cast<uint32_t>(Interval);
-  Value.getBool("portfolio", Options.Portfolio);
-  uint64_t Workers = Options.Workers;
-  if (Value.getUint("workers", Workers))
-    Options.Workers = static_cast<unsigned>(Workers);
   if (const JsonValue *Faults = Value.get("level_faults")) {
     if (!Faults->isArray()) {
       Error = "resilient options: level_faults must be an array";
@@ -877,9 +577,7 @@ ResilientOutcome intro::runResilient(const Program &Prog,
                                      const ResilientOptions &Options) {
   std::vector<std::string> Notes;
   ResilientOptions Normalized = normalizeResilientOptions(Options, Notes);
-  ResilientOutcome Out = Normalized.Portfolio
-                             ? Portfolio(Prog, RefinedPolicy, Normalized).run()
-                             : Ladder(Prog, RefinedPolicy, Normalized).run();
+  ResilientOutcome Out = Ladder(Prog, RefinedPolicy, Normalized).run();
   Out.Notes = std::move(Notes);
   return Out;
 }

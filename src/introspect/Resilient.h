@@ -30,19 +30,6 @@
 /// Deterministic fault injection (FaultPlan, per rung) lets tests exercise
 /// every rung without constructing programs that genuinely blow up.
 ///
-/// **Portfolio mode** (ResilientOptions::Portfolio) races the rungs
-/// concurrently on a thread pool instead of paying for each failed rung in
-/// wall-clock: the deep attempt and the insensitive pre-analysis launch
-/// together; once the pre-analysis lands, every introspective rung launches
-/// too.  The winner is decided in ladder order — exactly the rung the
-/// sequential walk would have returned — and the losing rungs are cancelled
-/// through per-rung tokens linked to the caller's.  Completed solver runs
-/// are single-threaded and deterministic, so the winning PointsToResult,
-/// the metrics, and the exceptions are bit-identical to the sequential
-/// path; only wall-clock (and the Stats of *cancelled* losers in the
-/// trace) differ.  The trace records every launched attempt in the fixed
-/// ladder-walk order regardless of completion order.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef INTROSPECT_RESILIENT_H
@@ -143,20 +130,9 @@ struct ResilientOptions {
   /// supervision layer uses this from a forked child to stream per-rung
   /// progress over its report pipe, so a parent that sees the child die a
   /// hard death (segfault, OOM kill, watchdog) knows the deepest rung that
-  /// *started* and can resume the ladder strictly below it.  Sequential
-  /// ladder only: portfolio mode launches rungs concurrently and does not
-  /// invoke the callback (supervised children always run sequentially).
+  /// *started* and can resume the ladder strictly below it.
   std::function<void(DegradationLevel Level, uint32_t TightenedRound)>
       OnRungStart;
-
-  /// Race the rungs concurrently instead of walking them one by one.  The
-  /// returned result, level, metrics, and exceptions are bit-identical to
-  /// the sequential walk (see the file comment); the win is wall-clock:
-  /// failed rungs no longer serialize in front of the rung that completes.
-  bool Portfolio = false;
-  /// Worker threads for portfolio mode (and its parallel metric
-  /// computation).  0 means one per hardware thread.
-  unsigned Workers = 0;
 
   /// Optional content-addressed Pass-A store (runtime-only, like Cancel
   /// and OnRungStart: never serialized by writeResilientOptionsJson; a
@@ -211,10 +187,9 @@ struct ResilientOutcome {
   /// Total wall-clock of the whole ladder (attempts + metrics).
   double TotalSeconds = 0;
   /// Human-readable normalization notes: every degenerate option the run
-  /// clamped or resolved (Workers == 0, CancelInterval == 0, a
-  /// BackoffMultiplier that cannot tighten, ...).  Surfaced in the
-  /// machine-readable run report so a misconfigured service is visible in
-  /// its own telemetry.
+  /// clamped (CancelInterval == 0, a BackoffMultiplier that cannot
+  /// tighten).  Surfaced in the machine-readable run report so a
+  /// misconfigured service is visible in its own telemetry.
   std::vector<std::string> Notes;
 
   /// \returns true if Result is a completed (fixpoint) analysis.
@@ -224,10 +199,9 @@ struct ResilientOutcome {
 /// Returns a copy of \p Options with every degenerate knob clamped to its
 /// documented minimum, appending one note per adjustment to \p Notes:
 /// CancelInterval == 0 -> 1 (it is a modulus in the solver's stop check),
-/// Workers == 0 -> the resolved auto worker count, BackoffMultiplier that
-/// cannot tighten (non-finite or < 1) -> 1.  runResilient() applies this
-/// itself; it is exposed for tests and for callers that want the notes
-/// without running.
+/// BackoffMultiplier that cannot tighten (non-finite or < 1) -> 1.
+/// runResilient() applies this itself; it is exposed for tests and for
+/// callers that want the notes without running.
 ResilientOptions normalizeResilientOptions(const ResilientOptions &Options,
                                            std::vector<std::string> &Notes);
 
@@ -238,14 +212,14 @@ void writeAttemptTraceJson(JsonWriter &J, const AttemptTrace &Trace);
 
 /// Writes \p Outcome as one JSON object: winning level/status, cancellation
 /// flag, timing, normalization notes, and the attempt trace where each
-/// attempt carries a `"won"` flag (portfolio win/loss per rung; exactly one
-/// attempt wins unless nothing completed).
+/// attempt carries a `"won"` flag marking the attempt the result came from
+/// (exactly one attempt wins unless nothing completed).
 void writeResilientOutcomeJson(JsonWriter &J, const ResilientOutcome &Outcome);
 
 /// Writes the *configuration* part of \p Options as one JSON object —
 /// budgets, rung toggles, tightening rounds and backoff, heuristic
-/// parameters, cancel interval, portfolio/worker knobs, and any armed fault
-/// plans.  Runtime-only members (Cancel, OnRungStart) are not represented;
+/// parameters, cancel interval, and any armed fault plans.  Runtime-only
+/// members (Cancel, OnRungStart, Cache, CacheKey) are not represented;
 /// they cannot cross a process boundary.  Together with
 /// parseResilientOptionsJson this lets a supervisor ship a ladder
 /// configuration to a child process and relaunch a crashed job on a tighter
@@ -253,7 +227,8 @@ void writeResilientOutcomeJson(JsonWriter &J, const ResilientOutcome &Outcome);
 void writeResilientOptionsJson(JsonWriter &J, const ResilientOptions &Options);
 
 /// Inverse of writeResilientOptionsJson.  Unknown members are ignored
-/// (forward compatibility); missing members keep the field's default.
+/// (forward compatibility, and reports written by older versions still
+/// parse); missing members keep the field's default.
 /// \returns false and sets \p Error on a type mismatch or an invalid
 /// enumerator name.
 bool parseResilientOptionsJson(const JsonValue &Value,
@@ -262,7 +237,7 @@ bool parseResilientOptionsJson(const JsonValue &Value,
 /// Inverse of writeAttemptTraceJson: decodes a JSON array of attempt
 /// objects (as embedded in `intro-run-report-v1` reports) back into an
 /// AttemptTrace, so the supervisor can splice a child's partial ladder
-/// history into the batch report.  The portfolio-only `"won"` member is
+/// history into the batch report.  The outcome-only `"won"` member is
 /// accepted and ignored.  \returns false and sets \p Error on malformed
 /// input; \p Trace then holds the attempts decoded before the error.
 bool parseAttemptTraceJson(const JsonValue &Value, AttemptTrace &Trace,

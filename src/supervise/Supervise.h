@@ -190,8 +190,8 @@ struct JobResult {
 /// Batch-level configuration.
 struct BatchOptions {
   /// The base degradation-ladder configuration every job starts from.
-  /// Cancel/OnRungStart/Portfolio are supervisor-owned and ignored:
-  /// children always run the sequential ladder (one thread after fork).
+  /// Cancel/OnRungStart/Cache/CacheKey are supervisor-owned and ignored:
+  /// they cannot cross the process boundary.
   ResilientOptions Ladder;
   /// Hard limits applied to every child.
   ChildLimits Limits;

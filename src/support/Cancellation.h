@@ -23,43 +23,23 @@ namespace intro {
 /// A thread-safe, reusable cancellation flag.  cancel() may be called from
 /// any thread, any number of times; polling is a relaxed atomic load and is
 /// cheap enough for hot loops.
-///
-/// Tokens can be *linked* into a tree: a child whose linkTo() names a
-/// parent also reports cancelled once the parent does.  The portfolio
-/// engine uses this to fan one external token out to every racing rung —
-/// cancelling a single losing rung cancels only that rung, while the
-/// caller's token still reaches all of them — without any thread having to
-/// forward signals.
 class CancellationToken {
 public:
   CancellationToken() = default;
   CancellationToken(const CancellationToken &) = delete;
   CancellationToken &operator=(const CancellationToken &) = delete;
 
-  /// Requests cancellation of this token (and, transitively, of every
-  /// token linked below it).  Idempotent.
+  /// Requests cancellation of this token.  Idempotent.
   void cancel() { Flag.store(true, std::memory_order_relaxed); }
 
-  /// \returns true once cancel() has been called on this token or on any
-  /// token it is (transitively) linked to.
-  bool isCancelled() const {
-    return Flag.load(std::memory_order_relaxed) ||
-           (Parent && Parent->isCancelled());
-  }
-
-  /// Links this token below \p Ancestor: isCancelled() then also reports
-  /// the ancestor's state.  Not synchronized — link before any thread
-  /// polls this token, and keep the ancestor alive for this token's whole
-  /// polling lifetime.  Pass nullptr to unlink.
-  void linkTo(const CancellationToken *Ancestor) { Parent = Ancestor; }
+  /// \returns true once cancel() has been called on this token.
+  bool isCancelled() const { return Flag.load(std::memory_order_relaxed); }
 
   /// Re-arms the token for reuse.  Only safe once no worker polls it.
-  /// Links are kept: a still-cancelled ancestor wins over the reset.
   void reset() { Flag.store(false, std::memory_order_relaxed); }
 
 private:
   std::atomic<bool> Flag{false};
-  const CancellationToken *Parent = nullptr;
 };
 
 } // namespace intro

@@ -643,29 +643,6 @@ TEST(LadderCache, WarmLadderSharesPassAWithIdenticalTraceColumns) {
   expectMetricsEqual(Cold.Metrics, Warm.Metrics);
 }
 
-TEST(LadderCache, PortfolioWarmRunIsBitIdenticalToSequential) {
-  TwoBoxes T = makeTwoBoxes();
-  TempDir Dir;
-  cache::ResultCache Cache({Dir.Path, 0});
-  cache::Fingerprint Fp = cache::fingerprintProgram(T.Prog);
-
-  ResilientOptions Options;
-  Options.AttemptDeep = false;
-  Options.Cache = &Cache;
-  Options.CacheKey = &Fp;
-  auto Refined = makeObjectPolicy(T.Prog, 2, 1);
-  ResilientOutcome Sequential = runResilient(T.Prog, *Refined, Options);
-  ASSERT_EQ(Cache.stats().Stores, 1u);
-
-  Options.Portfolio = true;
-  Options.Workers = 4;
-  ResilientOutcome Portfolio = runResilient(T.Prog, *Refined, Options);
-  EXPECT_GE(Cache.stats().Hits, 1u);
-  EXPECT_EQ(Portfolio.Level, Sequential.Level);
-  expectResultsEqual(Portfolio.Result, Sequential.Result);
-  expectMetricsEqual(Portfolio.Metrics, Sequential.Metrics);
-}
-
 TEST(LadderCache, ArmedInsensitiveFaultBypassesTheCache) {
   TwoBoxes T = makeTwoBoxes();
   TempDir Dir;

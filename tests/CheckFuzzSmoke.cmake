@@ -83,9 +83,10 @@ if(POS EQUAL -1)
   message(SEND_ERROR "planted-bug report does not record findings:\n${PLANTED}")
 endif()
 
-# 4. CLI contract: malformed flags are diagnosed with exit 2.
+# 4. CLI contract: malformed flags are diagnosed with exit 2.  The retired
+# oracle name in the list is rejected like any other unknown name.
 foreach(BAD --seed=x --count=0 --fuzz-budget=nan --oracles=bogus
-        --plant-bug=bogus)
+        --oracles=portfolio-parity --plant-bug=bogus)
   execute_process(
     COMMAND ${INTRO_FUZZ} ${BAD}
     RESULT_VARIABLE CODE
@@ -93,6 +94,9 @@ foreach(BAD --seed=x --count=0 --fuzz-budget=nan --oracles=bogus
     ERROR_VARIABLE ERR)
   if(NOT CODE EQUAL 2)
     message(SEND_ERROR "${BAD}: expected exit 2, got ${CODE}\n${ERR}")
+  endif()
+  if(BAD MATCHES "^--oracles=" AND NOT ERR MATCHES "unknown oracle")
+    message(SEND_ERROR "${BAD}: expected an 'unknown oracle' error\n${ERR}")
   endif()
 endforeach()
 

@@ -481,223 +481,91 @@ TEST(BudgetExhaustion, TimeBudgetYieldsSoundPrefixInBothPasses) {
   }
 }
 
-// --- Portfolio mode ----------------------------------------------------------
+// --- The outcome report's "won" flag ----------------------------------------
 
 namespace {
 
-/// Asserts that two results carry an identical client-visible payload:
-/// every projection table, the analysis identity, and the deterministic
-/// solver counters.  (Stats.Seconds and ApproxBytes are wall-clock / size
-/// estimates and excluded by design.)
-void expectSamePayload(const PointsToResult &A, const PointsToResult &B) {
-  EXPECT_EQ(A.AnalysisName, B.AnalysisName);
-  EXPECT_EQ(A.Status, B.Status);
-  EXPECT_EQ(A.VarHeaps, B.VarHeaps);
-  EXPECT_EQ(A.FieldHeaps, B.FieldHeaps);
-  EXPECT_EQ(A.StaticFieldHeaps, B.StaticFieldHeaps);
-  EXPECT_EQ(A.MethodThrows, B.MethodThrows);
-  EXPECT_EQ(A.SiteTargets, B.SiteTargets);
-  EXPECT_EQ(A.MethodReachable, B.MethodReachable);
-  EXPECT_EQ(A.Stats.VarPointsToTuples, B.Stats.VarPointsToTuples);
-  EXPECT_EQ(A.Stats.FieldPointsToTuples, B.Stats.FieldPointsToTuples);
-  EXPECT_EQ(A.Stats.NumContexts, B.Stats.NumContexts);
-  EXPECT_EQ(A.Stats.WorklistPops, B.Stats.WorklistPops);
-  EXPECT_EQ(A.Stats.CallGraphEdges, B.Stats.CallGraphEdges);
-}
-
-/// Asserts that a portfolio run's outcome matches the sequential walk's
-/// bit for bit on everything the contract pins: result payload, rung,
-/// metrics, exceptions, cancellation flag.
-void expectSameOutcome(const ResilientOutcome &Seq,
-                       const ResilientOutcome &Par) {
-  EXPECT_EQ(Seq.Level, Par.Level);
-  EXPECT_EQ(Seq.Cancelled, Par.Cancelled);
-  expectSamePayload(Seq.Result, Par.Result);
-  EXPECT_EQ(Seq.Metrics.InFlow, Par.Metrics.InFlow);
-  EXPECT_EQ(Seq.Metrics.MethodTotalVolume, Par.Metrics.MethodTotalVolume);
-  EXPECT_EQ(Seq.Metrics.MethodMaxVarPointsTo,
-            Par.Metrics.MethodMaxVarPointsTo);
-  EXPECT_EQ(Seq.Metrics.ObjectMaxFieldPointsTo,
-            Par.Metrics.ObjectMaxFieldPointsTo);
-  EXPECT_EQ(Seq.Metrics.ObjectTotalFieldPointsTo,
-            Par.Metrics.ObjectTotalFieldPointsTo);
-  EXPECT_EQ(Seq.Metrics.MethodMaxVarFieldPointsTo,
-            Par.Metrics.MethodMaxVarFieldPointsTo);
-  EXPECT_EQ(Seq.Metrics.PointedByVars, Par.Metrics.PointedByVars);
-  EXPECT_EQ(Seq.Metrics.PointedByObjs, Par.Metrics.PointedByObjs);
-  EXPECT_EQ(Seq.Exceptions.NoRefineHeaps, Par.Exceptions.NoRefineHeaps);
-  EXPECT_EQ(Seq.Exceptions.NoRefineSites, Par.Exceptions.NoRefineSites);
+/// Serializes \p Out and returns the parsed "attempts" array.
+JsonValue outcomeAttemptsJson(const ResilientOutcome &Out) {
+  std::ostringstream Text;
+  JsonWriter J(Text);
+  writeResilientOutcomeJson(J, Out);
+  JsonParseResult Parsed = parseJson(Text.str());
+  EXPECT_TRUE(Parsed.ok()) << Parsed.Error;
+  const JsonValue *Attempts = Parsed.Value.get("attempts");
+  EXPECT_NE(Attempts, nullptr);
+  return Attempts ? *Attempts : JsonValue();
 }
 
 } // namespace
 
-TEST(Portfolio, BitIdenticalToSequentialAtEveryWinningRung) {
-  // Every rung the ladder can return is exercised by failing the rungs
-  // above it; in each scenario the racing portfolio must hand back the
-  // exact outcome of the sequential walk.
+TEST(ResilientOutcomeJson, ExactlyOneWonFlagSitsOnTheWinningRow) {
+  // The deep rung fails fast, so the ladder walks on and IntroB wins.  The
+  // report marks exactly that attempt, not the failed deep row or the
+  // completed pre-analysis row before it.
   Program Prog = chartProgram();
   auto Refined = makeObjectPolicy(Prog, 2, 1);
+  ResilientOptions Options;
+  Options.faultsFor(DegradationLevel::Deep) = failFast();
 
-  const std::vector<std::vector<DegradationLevel>> Scenarios = {
-      {}, // Deep wins outright.
-      {DegradationLevel::Deep},
-      {DegradationLevel::Deep, DegradationLevel::IntroB},
-      {DegradationLevel::Deep, DegradationLevel::IntroB,
-       DegradationLevel::IntroA},
-      {DegradationLevel::Deep, DegradationLevel::IntroB,
-       DegradationLevel::IntroA, DegradationLevel::TightenedIntroA},
-  };
-  for (const auto &Failing : Scenarios) {
-    ResilientOptions Sequential;
-    for (DegradationLevel Level : Failing)
-      Sequential.faultsFor(Level) = failFast();
-    ResilientOptions Racing = Sequential;
-    Racing.Portfolio = true;
-    Racing.Workers = 4;
+  ResilientOutcome Out = runResilient(Prog, *Refined, Options);
+  ASSERT_TRUE(Out.completed());
+  EXPECT_EQ(Out.Level, DegradationLevel::IntroB);
+  JsonValue Attempts = outcomeAttemptsJson(Out);
+  ASSERT_TRUE(Attempts.isArray());
+  ASSERT_EQ(Attempts.elements().size(), Out.Trace.size());
+  size_t WonCount = 0;
+  for (size_t Index = 0; Index < Out.Trace.size(); ++Index) {
+    bool Won = false;
+    ASSERT_TRUE(Attempts.elements()[Index].getBool("won", Won));
+    if (!Won)
+      continue;
+    ++WonCount;
+    EXPECT_EQ(Out.Trace[Index].Level, Out.Level) << "row " << Index;
+    EXPECT_EQ(Out.Trace[Index].Status, SolveStatus::Completed);
+    EXPECT_EQ(Out.Trace[Index].AnalysisName, Out.Result.AnalysisName);
+  }
+  EXPECT_EQ(WonCount, 1u);
+}
 
-    ResilientOutcome Seq = runResilient(Prog, *Refined, Sequential);
-    ResilientOutcome Par = runResilient(Prog, *Refined, Racing);
-    SCOPED_TRACE("failing rungs: " + std::to_string(Failing.size()));
-    expectSameOutcome(Seq, Par);
-    expectConsistent(Prog, Par.Result);
+TEST(ResilientOutcomeJson, AllRungsFaultedLeavesNoWonFlag) {
+  // When even the pre-analysis faults, nothing completes: the ladder hands
+  // back the partial insensitive result, runs no refined rung on top of a
+  // dead floor, and marks no attempt as the winner.
+  Program Prog = chartProgram();
+  auto Refined = makeObjectPolicy(Prog, 2, 1);
+  ResilientOptions Options;
+  for (DegradationLevel Level :
+       {DegradationLevel::Deep, DegradationLevel::IntroB,
+        DegradationLevel::IntroA, DegradationLevel::TightenedIntroA})
+    Options.faultsFor(Level) = failFast();
+  Options.faultsFor(DegradationLevel::Insensitive) =
+      failFast(SolveStatus::MemoryBudgetExceeded);
+
+  ResilientOutcome Out = runResilient(Prog, *Refined, Options);
+  EXPECT_FALSE(Out.completed());
+  EXPECT_FALSE(Out.Cancelled);
+  EXPECT_EQ(Out.Level, DegradationLevel::Insensitive);
+  EXPECT_EQ(Out.Result.Status, SolveStatus::MemoryBudgetExceeded);
+  expectConsistent(Prog, Out.Result);
+  ASSERT_EQ(Out.Trace.size(), 2u);
+  EXPECT_EQ(Out.Trace[1].Level, DegradationLevel::Insensitive);
+  EXPECT_EQ(Out.Trace[1].Status, SolveStatus::MemoryBudgetExceeded);
+
+  JsonValue Attempts = outcomeAttemptsJson(Out);
+  ASSERT_TRUE(Attempts.isArray());
+  for (const JsonValue &A : Attempts.elements()) {
+    bool Won = true;
+    ASSERT_TRUE(A.getBool("won", Won));
+    EXPECT_FALSE(Won);
   }
 }
 
-TEST(Portfolio, WorkerCountDoesNotChangeTheOutcome) {
-  Program Prog = chartProgram();
-  auto Refined = makeObjectPolicy(Prog, 2, 1);
-  ResilientOptions Base;
-  Base.faultsFor(DegradationLevel::Deep) = failFast();
-  Base.Portfolio = true;
-
-  Base.Workers = 1;
-  ResilientOutcome One = runResilient(Prog, *Refined, Base);
-  Base.Workers = 3;
-  ResilientOutcome Three = runResilient(Prog, *Refined, Base);
-  Base.Workers = 8;
-  ResilientOutcome Eight = runResilient(Prog, *Refined, Base);
-  expectSameOutcome(One, Three);
-  expectSameOutcome(One, Eight);
-  EXPECT_EQ(One.Level, DegradationLevel::IntroB);
-}
-
-TEST(Portfolio, TraceRecordsEveryLaunchedRungInLadderOrder) {
-  // Completion order races; trace order must not.  With every refined
-  // rung failing, all seven attempts (deep, the pre-analysis, introB,
-  // introA, two tightened rounds) appear in ladder-walk order with their
-  // injected statuses.
-  Program Prog = chartProgram();
-  auto Refined = makeObjectPolicy(Prog, 2, 1);
-  ResilientOptions Options;
-  Options.Portfolio = true;
-  Options.Workers = 4;
-  Options.TightenedRounds = 2;
-  Options.faultsFor(DegradationLevel::Deep) =
-      failFast(SolveStatus::TupleBudgetExceeded);
-  Options.faultsFor(DegradationLevel::IntroB) =
-      failFast(SolveStatus::TimeBudgetExceeded);
-  Options.faultsFor(DegradationLevel::IntroA) =
-      failFast(SolveStatus::MemoryBudgetExceeded);
-  Options.faultsFor(DegradationLevel::TightenedIntroA) =
-      failFast(SolveStatus::TupleBudgetExceeded);
-
-  ResilientOutcome Out = runResilient(Prog, *Refined, Options);
-  EXPECT_TRUE(Out.completed());
-  EXPECT_EQ(Out.Level, DegradationLevel::Insensitive);
-
-  ASSERT_EQ(Out.Trace.size(), 6u);
-  EXPECT_EQ(Out.Trace[0].Level, DegradationLevel::Deep);
-  EXPECT_EQ(Out.Trace[0].Status, SolveStatus::TupleBudgetExceeded);
-  EXPECT_EQ(Out.Trace[1].Level, DegradationLevel::Insensitive);
-  EXPECT_EQ(Out.Trace[1].Status, SolveStatus::Completed);
-  EXPECT_EQ(Out.Trace[2].Level, DegradationLevel::IntroB);
-  EXPECT_EQ(Out.Trace[2].Status, SolveStatus::TimeBudgetExceeded);
-  EXPECT_EQ(Out.Trace[3].Level, DegradationLevel::IntroA);
-  EXPECT_EQ(Out.Trace[3].Status, SolveStatus::MemoryBudgetExceeded);
-  EXPECT_EQ(Out.Trace[4].Level, DegradationLevel::TightenedIntroA);
-  EXPECT_EQ(Out.Trace[4].TightenedRound, 1u);
-  EXPECT_EQ(Out.Trace[5].Level, DegradationLevel::TightenedIntroA);
-  EXPECT_EQ(Out.Trace[5].TightenedRound, 2u);
-}
-
-TEST(Portfolio, HappyDeepWinClearsMetricsLikeSequential) {
-  // The sequential happy path never computes metrics; a deep win in the
-  // portfolio (which always runs the pre-analysis concurrently) must not
-  // leak them into the outcome.
-  Program Prog = chartProgram();
-  auto Refined = makeObjectPolicy(Prog, 2, 1);
-  ResilientOptions Options;
-  Options.Portfolio = true;
-  Options.Workers = 4;
-  ResilientOutcome Out = runResilient(Prog, *Refined, Options);
-  EXPECT_EQ(Out.Level, DegradationLevel::Deep);
-  EXPECT_TRUE(Out.Metrics.InFlow.empty());
-  EXPECT_EQ(Out.MetricSeconds, 0.0);
-}
-
-TEST(Portfolio, PreCancelledTokenMatchesSequentialCancellation) {
-  Program Prog = chartProgram();
-  auto Refined = makeObjectPolicy(Prog, 2, 1);
-  CancellationToken Cancel;
-  Cancel.cancel();
-
-  ResilientOptions Sequential;
-  Sequential.Cancel = &Cancel;
-  ResilientOptions Racing = Sequential;
-  Racing.Portfolio = true;
-  Racing.Workers = 4;
-
-  ResilientOutcome Seq = runResilient(Prog, *Refined, Sequential);
-  ResilientOutcome Par = runResilient(Prog, *Refined, Racing);
-  EXPECT_TRUE(Seq.Cancelled);
-  EXPECT_TRUE(Par.Cancelled);
-  EXPECT_EQ(Seq.Level, Par.Level);
-  EXPECT_EQ(Seq.Result.Status, Par.Result.Status);
-  expectConsistent(Prog, Par.Result);
-}
-
-TEST(Portfolio, ConcurrentExternalCancellationStopsAllRungs) {
-  // A caller-side cancel while the rungs race must fan out through the
-  // linked tokens and stop every in-flight solve.  jython's deep rung
-  // explodes, so without the cancel this would run for many seconds; the
-  // budgets below are only a backstop so a regression fails instead of
-  // hanging.  The cancel fires 25 ms in so that even the cheap first-pass
-  // rung is still in flight (the batched solver finishes it well under
-  // the 100 ms this test historically waited).  Exercised under TSan in
-  // CI to pin the token fan-out as data-race-free.
-  Program Prog = generateWorkload(dacapoProfile("jython"));
-  auto Refined = makeObjectPolicy(Prog, 2, 1);
-  CancellationToken Cancel;
-  ResilientOptions Options;
-  Options.Portfolio = true;
-  Options.Workers = 4;
-  Options.Cancel = &Cancel;
-  Options.DeepBudget.MaxSeconds = 30.0;
-  Options.FirstPassBudget.MaxSeconds = 30.0;
-  Options.RefinedBudget.MaxSeconds = 30.0;
-
-  std::thread Canceller([&Cancel] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(25));
-    Cancel.cancel();
-  });
-  Timer Clock;
-  ResilientOutcome Out = runResilient(Prog, *Refined, Options);
-  Canceller.join();
-
-  EXPECT_TRUE(Out.Cancelled);
-  EXPECT_FALSE(Out.completed());
-  // Cancellation must beat the 30 s budget backstop by a wide margin.
-  EXPECT_LT(Clock.seconds(), 15.0);
-  expectConsistent(Prog, Out.Result);
-  // Every recorded attempt was stopped by the token, not by a budget.
-  for (const Attempt &A : Out.Trace)
-    EXPECT_EQ(A.Status, SolveStatus::Cancelled);
-}
-
-TEST(Portfolio, SharedEmptySetIsSafeForConcurrentReaders) {
-  // PointsToResult::emptySet() is the shared fallback every racing rung's
-  // readers may touch; all threads must observe one fully-constructed
-  // object at a single address (C++11 magic statics).
+TEST(PointsToResult, SharedEmptySetIsSafeForConcurrentReaders) {
+  // PointsToResult::emptySet() is the shared fallback that readers on
+  // several threads (the sweep runners' workers, say) may touch at once;
+  // all threads must observe one fully-constructed object at a single
+  // address (C++11 magic statics).
   PointsToResult Result; // No tables: every query hits the fallback.
   const SortedIdSet *Addresses[8] = {};
   {
@@ -718,6 +586,29 @@ TEST(Portfolio, SharedEmptySetIsSafeForConcurrentReaders) {
     EXPECT_EQ(Addresses[Reader], Addresses[0]);
 }
 
+TEST(FaultInjection, TupleInflationDegradesPastTheInflatedRung) {
+  // TupleInflation makes the budget check see exploding points-to sets:
+  // the inflated IntroB rung trips its tuple budget and the ladder settles
+  // on IntroA.
+  Program Prog = chartProgram();
+  auto Refined = makeObjectPolicy(Prog, 2, 1);
+  ResilientOptions Options;
+  Options.faultsFor(DegradationLevel::Deep) = failFast();
+  Options.faultsFor(DegradationLevel::IntroB).TupleInflation = 1000000;
+  Options.RefinedBudget.MaxTuples = 10000000;
+
+  ResilientOutcome Out = runResilient(Prog, *Refined, Options);
+  EXPECT_EQ(Out.Level, DegradationLevel::IntroA);
+  expectConsistent(Prog, Out.Result);
+  bool SawIntroB = false;
+  for (const Attempt &A : Out.Trace)
+    if (A.Level == DegradationLevel::IntroB) {
+      SawIntroB = true;
+      EXPECT_EQ(A.Status, SolveStatus::TupleBudgetExceeded);
+    }
+  EXPECT_TRUE(SawIntroB);
+}
+
 TEST(FaultInjection, TupleInflationSaturatesInsteadOfWrapping) {
   // A pathological inflation factor whose product with the tuple count
   // overflows uint64 must saturate and trip the budget — wrapping would
@@ -731,198 +622,4 @@ TEST(FaultInjection, TupleInflationSaturatesInsteadOfWrapping) {
   PointsToResult R = solvePointsTo(Prog, *Policy, Table, Options);
   EXPECT_EQ(R.Status, SolveStatus::TupleBudgetExceeded);
   expectConsistent(Prog, R);
-}
-
-// --- FaultPlan x portfolio interplay -----------------------------------------
-//
-// The solver-level fault plans and the racing portfolio compose: a fault
-// firing inside a portfolio worker must produce exactly the sequential
-// walk's outcome — first-completing-in-ladder-order winner, consistent
-// payload, and an attempt trace that tells the whole story.
-
-namespace {
-
-/// Ladder-walk position of \p Level (launch order: deep, the insensitive
-/// pre-analysis, then the refined rungs).
-size_t ladderPosition(DegradationLevel Level) {
-  switch (Level) {
-  case DegradationLevel::Deep:
-    return 0;
-  case DegradationLevel::Insensitive:
-    return 1;
-  case DegradationLevel::IntroB:
-    return 2;
-  case DegradationLevel::IntroA:
-    return 3;
-  case DegradationLevel::TightenedIntroA:
-    return 4;
-  }
-  return 5;
-}
-
-/// Serializes \p Out and returns the parsed "attempts" array.
-JsonValue outcomeAttemptsJson(const ResilientOutcome &Out) {
-  std::ostringstream Text;
-  JsonWriter J(Text);
-  writeResilientOutcomeJson(J, Out);
-  JsonParseResult Parsed = parseJson(Text.str());
-  EXPECT_TRUE(Parsed.ok()) << Parsed.Error;
-  const JsonValue *Attempts = Parsed.Value.get("attempts");
-  EXPECT_NE(Attempts, nullptr);
-  return Attempts ? *Attempts : JsonValue();
-}
-
-} // namespace
-
-TEST(PortfolioFaults, WorkerFaultStillYieldsLadderOrderWinnerAndFullTrace) {
-  // Only the deep rung faults; IntroB, IntroA, and the floor all complete,
-  // and completion order races.  The winner must be IntroB — the first
-  // completer in *ladder* order — exactly as in the sequential walk.
-  Program Prog = chartProgram();
-  auto Refined = makeObjectPolicy(Prog, 2, 1);
-  ResilientOptions Sequential;
-  Sequential.faultsFor(DegradationLevel::Deep) = failFast();
-  ResilientOptions Racing = Sequential;
-  Racing.Portfolio = true;
-  Racing.Workers = 4;
-
-  ResilientOutcome Seq = runResilient(Prog, *Refined, Sequential);
-  ResilientOutcome Par = runResilient(Prog, *Refined, Racing);
-  EXPECT_EQ(Par.Level, DegradationLevel::IntroB);
-  expectSameOutcome(Seq, Par);
-  expectConsistent(Prog, Par.Result);
-
-  // The trace is complete and in ladder order: the faulted deep rung with
-  // its injected status, then the rungs that ran, never out of order.
-  ASSERT_FALSE(Par.Trace.empty());
-  EXPECT_EQ(Par.Trace[0].Level, DegradationLevel::Deep);
-  EXPECT_EQ(Par.Trace[0].Status, SolveStatus::TupleBudgetExceeded);
-  for (size_t Index = 1; Index < Par.Trace.size(); ++Index)
-    EXPECT_LT(ladderPosition(Par.Trace[Index - 1].Level),
-              ladderPosition(Par.Trace[Index].Level) +
-                  (Par.Trace[Index].Level == DegradationLevel::TightenedIntroA
-                       ? 1
-                       : 0))
-        << "trace out of ladder order at row " << Index;
-  bool SawWinner = false;
-  for (const Attempt &A : Par.Trace)
-    if (A.Level == DegradationLevel::IntroB &&
-        A.Status == SolveStatus::Completed)
-      SawWinner = true;
-  EXPECT_TRUE(SawWinner);
-}
-
-TEST(PortfolioFaults, ExactlyOneWonFlagInTheOutcomeJson) {
-  Program Prog = chartProgram();
-  auto Refined = makeObjectPolicy(Prog, 2, 1);
-  ResilientOptions Options;
-  Options.Portfolio = true;
-  Options.Workers = 4;
-  Options.faultsFor(DegradationLevel::Deep) = failFast();
-
-  ResilientOutcome Out = runResilient(Prog, *Refined, Options);
-  JsonValue Attempts = outcomeAttemptsJson(Out);
-  ASSERT_TRUE(Attempts.isArray());
-  size_t WonCount = 0;
-  std::string WinnerLevel;
-  for (const JsonValue &A : Attempts.elements()) {
-    bool Won = false;
-    ASSERT_TRUE(A.getBool("won", Won));
-    if (!Won)
-      continue;
-    ++WonCount;
-    ASSERT_TRUE(A.getString("level", WinnerLevel));
-  }
-  EXPECT_EQ(WonCount, 1u);
-  EXPECT_EQ(WinnerLevel, degradationLevelName(Out.Level));
-}
-
-TEST(PortfolioFaults, AllRungsFaultedLeavesNoWonFlag) {
-  // When even the floor faults, nothing completes and no attempt may be
-  // marked as the winner; the racing walk must agree with the sequential
-  // one on the all-failed outcome.
-  Program Prog = chartProgram();
-  auto Refined = makeObjectPolicy(Prog, 2, 1);
-  ResilientOptions Sequential;
-  for (DegradationLevel Level :
-       {DegradationLevel::Deep, DegradationLevel::Insensitive,
-        DegradationLevel::IntroB, DegradationLevel::IntroA,
-        DegradationLevel::TightenedIntroA})
-    Sequential.faultsFor(Level) = failFast();
-  ResilientOptions Racing = Sequential;
-  Racing.Portfolio = true;
-  Racing.Workers = 4;
-
-  ResilientOutcome Seq = runResilient(Prog, *Refined, Sequential);
-  ResilientOutcome Par = runResilient(Prog, *Refined, Racing);
-  EXPECT_FALSE(Seq.completed());
-  EXPECT_FALSE(Par.completed());
-  EXPECT_EQ(Seq.Level, Par.Level);
-  EXPECT_EQ(Seq.Result.Status, Par.Result.Status);
-  expectConsistent(Prog, Par.Result);
-
-  JsonValue Attempts = outcomeAttemptsJson(Par);
-  ASSERT_TRUE(Attempts.isArray());
-  for (const JsonValue &A : Attempts.elements()) {
-    bool Won = true;
-    ASSERT_TRUE(A.getBool("won", Won));
-    EXPECT_FALSE(Won);
-  }
-}
-
-TEST(PortfolioFaults, PreAnalysisFaultUnderPortfolioMatchesSequential) {
-  // The insensitive pre-analysis rung itself faults while the refined
-  // rungs race on top of it.  Whatever the sequential ladder does with a
-  // dead floor, the portfolio must reproduce it bit for bit.
-  Program Prog = chartProgram();
-  auto Refined = makeObjectPolicy(Prog, 2, 1);
-  ResilientOptions Sequential;
-  Sequential.faultsFor(DegradationLevel::Deep) = failFast();
-  Sequential.faultsFor(DegradationLevel::Insensitive) =
-      failFast(SolveStatus::MemoryBudgetExceeded);
-  ResilientOptions Racing = Sequential;
-  Racing.Portfolio = true;
-  Racing.Workers = 4;
-
-  ResilientOutcome Seq = runResilient(Prog, *Refined, Sequential);
-  ResilientOutcome Par = runResilient(Prog, *Refined, Racing);
-  expectSameOutcome(Seq, Par);
-  expectConsistent(Prog, Par.Result);
-
-  // The pre-analysis row records its injected status in both walks.
-  for (const ResilientOutcome *Out : {&Seq, &Par}) {
-    bool SawFloor = false;
-    for (const Attempt &A : Out->Trace)
-      if (A.Level == DegradationLevel::Insensitive) {
-        SawFloor = true;
-        EXPECT_EQ(A.Status, SolveStatus::MemoryBudgetExceeded);
-      }
-    EXPECT_TRUE(SawFloor);
-  }
-}
-
-TEST(PortfolioFaults, TupleInflationTripsBudgetsIdenticallyInTheRace) {
-  // TupleInflation makes the budget check see exploding points-to sets.
-  // Inflated IntroB trips its tuple budget inside a portfolio worker; the
-  // race must settle on IntroA exactly like the sequential walk.
-  Program Prog = chartProgram();
-  auto Refined = makeObjectPolicy(Prog, 2, 1);
-  ResilientOptions Sequential;
-  Sequential.faultsFor(DegradationLevel::Deep) = failFast();
-  Sequential.faultsFor(DegradationLevel::IntroB).TupleInflation = 1000000;
-  Sequential.RefinedBudget.MaxTuples = 10000000;
-
-  ResilientOptions Racing = Sequential;
-  Racing.Portfolio = true;
-  Racing.Workers = 4;
-
-  ResilientOutcome Seq = runResilient(Prog, *Refined, Sequential);
-  ResilientOutcome Par = runResilient(Prog, *Refined, Racing);
-  EXPECT_EQ(Seq.Level, DegradationLevel::IntroA);
-  expectSameOutcome(Seq, Par);
-  expectConsistent(Prog, Par.Result);
-
-  for (const Attempt &A : Par.Trace)
-    if (A.Level == DegradationLevel::IntroB)
-      EXPECT_EQ(A.Status, SolveStatus::TupleBudgetExceeded);
 }

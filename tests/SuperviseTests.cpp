@@ -834,8 +834,6 @@ TEST(ResilientJson, OptionsSurviveARoundTrip) {
   Options.ParamsA.K = 9;
   Options.ParamsB.P = 11;
   Options.CancelInterval = 17;
-  Options.Portfolio = true;
-  Options.Workers = 3;
   Options.faultsFor(DegradationLevel::IntroB).FailAtPop = 42;
   Options.faultsFor(DegradationLevel::IntroB).FailStatus =
       SolveStatus::TimeBudgetExceeded;
@@ -860,21 +858,26 @@ TEST(ResilientJson, OptionsSurviveARoundTrip) {
   EXPECT_EQ(Back.DeepBudget.MaxTuples, Options.DeepBudget.MaxTuples);
   EXPECT_EQ(Back.AttemptDeep, false);
   EXPECT_EQ(Back.TightenedRounds, 5u);
-  EXPECT_EQ(Back.Workers, 3u);
+  EXPECT_EQ(Back.CancelInterval, 17u);
   EXPECT_EQ(Back.faultsFor(DegradationLevel::IntroB).FailAtPop, 42u);
   EXPECT_EQ(Back.faultsFor(DegradationLevel::IntroB).FailStatus,
             SolveStatus::TimeBudgetExceeded);
 }
 
 TEST(ResilientJson, OptionsParserRejectsBadNamesButIgnoresUnknownKeys) {
-  {
-    JsonParseResult Parsed =
-        parseJson("{\"unknown_key\": 1, \"attempt_deep\": false}");
-    ASSERT_TRUE(Parsed.ok());
+  // Unknown members are skipped: a forward-compatible key, and the
+  // retired racing-ladder knobs that reports written before their removal
+  // still carry.
+  for (const char *Text :
+       {"{\"unknown_key\": 1, \"attempt_deep\": false}",
+        "{\"portfolio\": true, \"workers\": 3, \"attempt_deep\": false}"}) {
+    JsonParseResult Parsed = parseJson(Text);
+    ASSERT_TRUE(Parsed.ok()) << Text;
     ResilientOptions Back;
     std::string Error;
-    EXPECT_TRUE(parseResilientOptionsJson(Parsed.Value, Back, Error)) << Error;
-    EXPECT_FALSE(Back.AttemptDeep);
+    EXPECT_TRUE(parseResilientOptionsJson(Parsed.Value, Back, Error))
+        << Text << ": " << Error;
+    EXPECT_FALSE(Back.AttemptDeep) << Text;
   }
   {
     JsonParseResult Parsed = parseJson(

@@ -550,40 +550,15 @@ TEST(TraceResilientTest, RungSpansAndWinFlag) {
   EXPECT_EQ(Text.find("\"won\":true", FirstWon + 1), std::string::npos);
 }
 
-TEST(TraceResilientTest, PortfolioRecordsDeterministicRungSet) {
-  TwoBoxes T = makeTwoBoxes();
-  auto Refined = makeObjectPolicy(T.Prog, 2, 1);
-  ResilientOptions Options;
-  Options.Portfolio = true;
-  Options.Workers = 2;
-  trace::Recorder Rec;
-  Rec.start();
-  ResilientOutcome Outcome = runResilient(T.Prog, *Refined, Options);
-  Rec.stop();
-
-  ASSERT_TRUE(Outcome.completed());
-  EXPECT_EQ(Outcome.Level, DegradationLevel::Deep);
-  // The deep rung and the insensitive pre-analysis always race together;
-  // each launched rung records exactly one span on its worker thread.
-  EXPECT_EQ(Rec.spans().at("rung.deep").Count, 1u);
-  EXPECT_EQ(Rec.spans().at("rung.insensitive").Count, 1u);
-  EXPECT_EQ(Rec.counters().at("portfolio.rungs_launched"),
-            Outcome.Trace.size());
-  EXPECT_EQ(Rec.instants().count("portfolio.winner_level"), 1u);
-}
-
 TEST(TraceResilientTest, ZeroKnobsProduceNotes) {
   std::vector<std::string> Notes;
   ResilientOptions Options;
   Options.CancelInterval = 0;
   Options.BackoffMultiplier = 0.5;
-  Options.Portfolio = true;
-  Options.Workers = 0;
   ResilientOptions Normalized = normalizeResilientOptions(Options, Notes);
   EXPECT_EQ(Normalized.CancelInterval, 1u);
   EXPECT_EQ(Normalized.BackoffMultiplier, 1.0);
-  EXPECT_GE(Normalized.Workers, 1u);
-  EXPECT_EQ(Notes.size(), 3u);
+  EXPECT_EQ(Notes.size(), 2u);
 }
 
 TEST(TraceResilientTest, NegativeAndNonFiniteKnobsAreClamped) {

@@ -31,7 +31,7 @@
 ///   --oracles=SPEC       default | all | comma list of oracle names
 ///                        (validity, round-trip, soundness,
 ///                        reference-equivalence, introspective-subset,
-///                        cache-parity, portfolio-parity, served-parity)
+///                        cache-parity, served-parity)
 ///   --thorough           add the expensive flavors: call-site/type
 ///                        sensitivity, checked casts, introspective-split
 ///                        Datalog equivalence
