@@ -108,10 +108,28 @@ static void BM_Solve2objHChart(benchmark::State &State) {
 }
 BENCHMARK(BM_Solve2objHChart);
 
-// The perf-trajectory benchmark behind BENCH_solver.json: throughput of the
-// solver on the hub-heavy flavor.  The items-per-second counter is objects
-// propagated (tuples derived), the quantity the adaptive representation is
-// supposed to move faster.
+// The node-heavy shape of the sweep's budget-tripping cells: 2objH on the
+// jython profile interns about 445k var x context and field nodes before a
+// 500k-tuple budget trips.  The "nodes" counter reports that count.
+static void BM_SolveNodeHeavyToBudget(benchmark::State &State) {
+  Program Prog = generateWorkload(dacapoProfile("jython"));
+  auto Policy = makeObjectPolicy(Prog, 2, 1);
+  SolverOptions Options;
+  Options.Budget.MaxTuples = 500000;
+  uint64_t Nodes = 0;
+  for (auto _ : State) {
+    ContextTable Table;
+    PointsToResult Result = solvePointsTo(Prog, *Policy, Table, Options);
+    Nodes = Result.Stats.NumVarNodes + Result.Stats.NumFieldNodes;
+    benchmark::DoNotOptimize(Nodes);
+  }
+  State.counters["nodes"] = static_cast<double>(Nodes);
+}
+BENCHMARK(BM_SolveNodeHeavyToBudget)->Unit(benchmark::kMillisecond);
+
+// Throughput of the solver on the hub-heavy flavor.  The items-per-second
+// counter is objects propagated (tuples derived), the quantity the adaptive
+// representation is supposed to move faster.
 static void BM_SolveHubHeavy(benchmark::State &State) {
   Program Prog = hubHeavyProgram(/*NumObjects=*/8192, /*NumSources=*/8,
                                  /*NumConsumers=*/64);

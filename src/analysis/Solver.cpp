@@ -90,17 +90,34 @@ private:
   size_t Count = 0;
 };
 
+/// Marks a node that holds no slot in the delta pool or the use store.
+constexpr uint32_t NoSlot = ~uint32_t(0);
+
 /// One constraint-graph node: a (var, ctx) pair or an (object, field) pair.
 ///
-/// Pts and Delta are adaptive sets (support/IdSet.h): sorted vectors while
-/// small, packed bitmaps once a hub node's set grows large and dense.  The
+/// Pts is an adaptive set (support/IdSet.h): a sorted vector while small, a
+/// packed bitmap once a hub node's set grows large and dense.  The
 /// difference-propagation invariant is Delta SUBSETOF Pts: an object enters
-/// Delta exactly when it first enters Pts, and is drained (propagated to
-/// every outgoing edge) exactly once, by processNode.
+/// the node's pending delta exactly when it first enters Pts, and is
+/// drained (propagated to every outgoing edge) exactly once, by
+/// processNode.  A node's delta is non-empty exactly while the node is on
+/// the worklist, so the delta lives in a recycled pool slot (DeltaSlot)
+/// that the node holds only while queued.  The lists most nodes never need
+/// live in a side store (NodeUses, UseSlot); Succ stays inline because
+/// every pop walks it.
 struct Node {
-  IdSet Pts;          ///< All objects known to flow here.
-  IdSet Delta;        ///< Subset of Pts not yet propagated.
-  SortedIdSet Succ;   ///< Subset edges: Pts flows into these nodes.
+  IdSet Pts;                   ///< All objects known to flow here.
+  SortedIdSet Succ;            ///< Subset edges: Pts flows into these nodes.
+  uint32_t CtxRaw = 0;         ///< Calling context (var nodes only).
+  uint32_t DeltaSlot = NoSlot; ///< Pending delta; NoSlot unless queued.
+  uint32_t UseSlot = NoSlot;   ///< Use-store lists; NoSlot until needed.
+};
+static_assert(sizeof(Node) <= 104, "Node grew: move rarely used state to "
+                                   "the use store");
+
+/// The per-node lists that only some nodes need, kept in the solver's use
+/// store and reached through Node::UseSlot.
+struct NodeUses {
   /// Filtered (checked-cast / catch) edges, packed as (dst << 32 | type);
   /// only objects compatible with type flow across.  Sorted for dedup.
   std::vector<uint64_t> FilterSucc;
@@ -113,8 +130,6 @@ struct Node {
   std::vector<std::pair<uint32_t, uint32_t>> StoreUses;
   /// For var nodes that are virtual-call receivers: the call sites.
   std::vector<uint32_t> CallUses;
-  uint32_t CtxRaw = 0; ///< Calling context (var nodes only).
-  bool InWorklist = false;
 };
 
 class Solver {
@@ -216,15 +231,28 @@ private:
   /// stays so that budgets and reported approx_bytes stay comparable.
   static constexpr uint64_t IndexEntryBytes = 48;
 
+  /// Estimated bytes per node.  280 prices the node as it was before its
+  /// delta moved to the pool and its use lists to the side store (two sets
+  /// and eight lists inline); the compact node takes at most 104, but the
+  /// charge stays so that memory budgets trip at the same pop and reported
+  /// approx_bytes (in run reports and Pass-A cache entries) do not move.
+  static constexpr uint64_t NodeBytes = 280;
+
+  /// Estimated bytes per object: its (heap, hctx) pair.  The type column is
+  /// derived from the heap and is not charged.
+  static constexpr uint64_t ObjectBytes = 2 * sizeof(uint32_t);
+
   // --- Node and object interning ------------------------------------------
 
   uint32_t getObject(HeapId Heap, HCtxId HCtx) {
     uint64_t Key = pack(Heap.index(), HCtx.index());
     auto [Object, Inserted] =
-        ObjIndex.emplace(Key, static_cast<uint32_t>(Objects.size()));
+        ObjIndex.emplace(Key, static_cast<uint32_t>(ObjectHeap.size()));
     if (Inserted) {
-      Objects.push_back({Heap.index(), HCtx.index()});
-      ApproxBytes += sizeof(Objects[0]) + IndexEntryBytes;
+      ObjectHeap.push_back(Heap.index());
+      ObjectHCtx.push_back(HCtx.index());
+      ObjectType.push_back(Prog.heap(Heap).Type.index());
+      ApproxBytes += ObjectBytes + IndexEntryBytes;
     }
     return Object;
   }
@@ -241,9 +269,19 @@ private:
     Nodes.back().CtxRaw = CtxRaw;
     NodeKind.push_back(Kind);
     NodeKey.push_back(Key);
-    ApproxBytes += sizeof(Node) + sizeof(uint8_t) + sizeof(uint64_t) +
-                   IndexEntryBytes;
+    ApproxBytes +=
+        NodeBytes + sizeof(uint8_t) + sizeof(uint64_t) + IndexEntryBytes;
     return N;
+  }
+
+  /// Node \p N's lists in the use store, made on first use.
+  NodeUses &uses(uint32_t N) {
+    uint32_t &Slot = Nodes[N].UseSlot;
+    if (Slot == NoSlot) {
+      Slot = static_cast<uint32_t>(Uses.size());
+      Uses.emplace_back();
+    }
+    return Uses[Slot];
   }
 
   uint32_t varNode(VarId Var, CtxId Ctx) {
@@ -272,25 +310,37 @@ private:
 
   // --- Core propagation ----------------------------------------------------
 
-  void pushWorklist(uint32_t N) {
-    if (Nodes[N].InWorklist)
-      return;
-    Nodes[N].InWorklist = true;
-    Worklist.push_back(N);
+  /// Node \p N's pending delta.  A node without one is not queued: it
+  /// takes a pool slot and joins the worklist here, so a caller must add
+  /// to the returned set at once.
+  IdSet &queuedDelta(uint32_t N) {
+    uint32_t &Slot = Nodes[N].DeltaSlot;
+    if (Slot == NoSlot) {
+      if (FreeDeltas.empty()) {
+        Slot = static_cast<uint32_t>(Deltas.size());
+        Deltas.emplace_back();
+      } else {
+        Slot = FreeDeltas.back();
+        FreeDeltas.pop_back();
+      }
+      Worklist.push_back(N);
+    }
+    return Deltas[Slot];
   }
 
   uint32_t popWorklist() {
     uint32_t N = Worklist.back();
     Worklist.pop_back();
-    Nodes[N].InWorklist = false;
     ++Pops;
     return N;
   }
 
-  /// Combined payload estimate of a node's two sets, the quantity tracked
-  /// incrementally into ApproxBytes.
-  static uint64_t setBytes(const Node &N) {
-    return N.Pts.approxBytes() + N.Delta.approxBytes();
+  /// Combined payload estimate of a node's points-to set and pending
+  /// delta, the quantity tracked incrementally into ApproxBytes.
+  uint64_t setBytes(uint32_t N) const {
+    uint32_t Slot = Nodes[N].DeltaSlot;
+    return Nodes[N].Pts.approxBytes() +
+           (Slot == NoSlot ? 0 : Deltas[Slot].approxBytes());
   }
 
   /// Accounts growth of node \p N's set payload between \p Before and the
@@ -298,7 +348,7 @@ private:
   /// payload (vector -> denser bitmap) do not refund — ApproxBytes is a
   /// cumulative high-water estimate, mirroring the original per-entry
   /// bookkeeping, so budget trips never un-trip.
-  void accountSetGrowth(const Node &N, uint64_t Before) {
+  void accountSetGrowth(uint32_t N, uint64_t Before) {
     uint64_t After = setBytes(N);
     if (After > Before)
       ApproxBytes += After - Before;
@@ -307,15 +357,13 @@ private:
   /// Adds \p Object to node \p N.  \returns true if it was new.  The
   /// single-element path — batch propagation goes through unionInto.
   bool addObjectTo(uint32_t N, uint32_t Object) {
-    Node &Target = Nodes[N];
     ++ElementProbes;
-    uint64_t Before = setBytes(Target);
-    if (!Target.Pts.insert(Object))
+    uint64_t Before = setBytes(N);
+    if (!Nodes[N].Pts.insert(Object))
       return false;
     ++TotalTuples;
-    Target.Delta.insert(Object);
-    accountSetGrowth(Target, Before);
-    pushWorklist(N);
+    queuedDelta(N).insert(Object);
+    accountSetGrowth(N, Before);
     return true;
   }
 
@@ -327,16 +375,14 @@ private:
   /// pushed, so the pop sequence (and thus every deterministic counter) is
   /// identical to per-element propagation.
   template <typename SrcSetT> void unionInto(uint32_t DstN, const SrcSetT &Src) {
-    Node &Dst = Nodes[DstN];
     ++BatchUnions;
-    uint64_t Before = setBytes(Dst);
+    uint64_t Before = setBytes(DstN);
     UnionScratch.clear();
-    if (Dst.Pts.unionWithDelta(Src, UnionScratch) == 0)
+    if (Nodes[DstN].Pts.unionWithDelta(Src, UnionScratch) == 0)
       return;
     TotalTuples += UnionScratch.size();
-    Dst.Delta.insertNewSorted(UnionScratch);
-    accountSetGrowth(Dst, Before);
-    pushWorklist(DstN);
+    queuedDelta(DstN).insertNewSorted(UnionScratch);
+    accountSetGrowth(DstN, Before);
   }
 
   /// Adds the subset edge \p Src -> \p Dst, propagating existing objects
@@ -356,8 +402,7 @@ private:
   /// \returns true if \p Object (a (heap, hctx) pair) is a subtype of
   /// \p CastTypeRaw — the checked-cast filter.
   bool castAdmits(uint32_t Object, uint32_t CastTypeRaw) const {
-    return Prog.isSubtypeOf(Prog.heap(HeapId(Objects[Object].first)).Type,
-                            TypeId(CastTypeRaw));
+    return Prog.isSubtypeOf(TypeId(ObjectType[Object]), TypeId(CastTypeRaw));
   }
 
   /// Adds a type-filtered edge \p Src -> \p Dst: \p Negated=false admits
@@ -367,7 +412,8 @@ private:
   void addFilteredEdge(uint32_t Src, uint32_t Dst, TypeId FilterType,
                        bool Negated = false) {
     uint64_t Packed = pack(Dst, FilterType.index());
-    auto &Edges = Negated ? Nodes[Src].NegFilterSucc : Nodes[Src].FilterSucc;
+    NodeUses &SrcUses = uses(Src);
+    auto &Edges = Negated ? SrcUses.NegFilterSucc : SrcUses.FilterSucc;
     auto It = std::lower_bound(Edges.begin(), Edges.end(), Packed);
     if (It != Edges.end() && *It == Packed)
       return;
@@ -382,39 +428,51 @@ private:
   }
 
   void processNode(uint32_t N) {
-    IdSet Delta = std::move(Nodes[N].Delta);
-    Nodes[N].Delta.clear();
-    if (Delta.empty())
-      return;
+    // A node is queued exactly while it holds a non-empty delta: the delta
+    // leaves its pool slot here, and the slot is free for the next node
+    // queued (N itself included, should this pop add to Pts(N)).
+    uint32_t Slot = Nodes[N].DeltaSlot;
+    assert(Slot != NoSlot && !Deltas[Slot].empty() &&
+           "a queued node holds a non-empty delta");
+    IdSet Delta = std::move(Deltas[Slot]);
+    Deltas[Slot].clear();
+    FreeDeltas.push_back(Slot);
+    Nodes[N].DeltaSlot = NoSlot;
 
     // Nothing here copies an edge or use list.  The use lists are walked by
-    // index, re-reading Nodes[N] at every step, because fieldNode and
-    // dispatch can create nodes and so reallocate Nodes; their lengths stay
-    // fixed, because only instantiate appends uses, and instantiate runs
-    // from the main loop, never from inside processNode.  The edge lists are
-    // walked in place: unionInto creates neither nodes nor edges.
+    // index, re-reading Uses[UseSlot] at every step: fieldNode and dispatch
+    // can create nodes (reallocating Nodes), and dispatch can give another
+    // node its use slot (bindArguments -> addFilteredEdge, reallocating
+    // Uses).  Their lengths stay fixed, because only instantiate appends
+    // uses, and instantiate runs from the main loop, never from inside
+    // processNode.  N's own UseSlot stays fixed too: a node without one has
+    // no call uses, so its pop dispatches nothing.  The edge lists are
+    // walked in place: unionInto creates neither nodes, edges nor use slots.
     //
     // LOAD / STORE / VCALL are inherently per-object (each object selects a
     // different field node or callee), so they stay element-wise.
-    // LOAD rule: to = base.fld joins FLDPOINTSTO of every new base object.
-    for (size_t I = 0; I < Nodes[N].LoadUses.size(); ++I) {
-      auto [FieldRaw, Dst] = Nodes[N].LoadUses[I];
-      Delta.forEach([&](uint32_t Object) {
-        addEdge(fieldNode(Object, FieldId(FieldRaw)), Dst);
-      });
-    }
-    // STORE rule: base.fld = from feeds FLDPOINTSTO of every new object.
-    for (size_t I = 0; I < Nodes[N].StoreUses.size(); ++I) {
-      auto [FieldRaw, Src] = Nodes[N].StoreUses[I];
-      Delta.forEach([&](uint32_t Object) {
-        addEdge(Src, fieldNode(Object, FieldId(FieldRaw)));
-      });
-    }
-    // VCALL rule: dispatch on every new receiver object.
-    CtxId Ctx(Nodes[N].CtxRaw);
-    for (size_t I = 0; I < Nodes[N].CallUses.size(); ++I) {
-      SiteId Site(Nodes[N].CallUses[I]);
-      Delta.forEach([&](uint32_t Object) { dispatch(Site, Ctx, Object); });
+    uint32_t UseSlot = Nodes[N].UseSlot;
+    if (UseSlot != NoSlot) {
+      // LOAD rule: to = base.fld joins FLDPOINTSTO of every new base object.
+      for (size_t I = 0; I < Uses[UseSlot].LoadUses.size(); ++I) {
+        auto [FieldRaw, Dst] = Uses[UseSlot].LoadUses[I];
+        Delta.forEach([&](uint32_t Object) {
+          addEdge(fieldNode(Object, FieldId(FieldRaw)), Dst);
+        });
+      }
+      // STORE rule: base.fld = from feeds FLDPOINTSTO of every new object.
+      for (size_t I = 0; I < Uses[UseSlot].StoreUses.size(); ++I) {
+        auto [FieldRaw, Src] = Uses[UseSlot].StoreUses[I];
+        Delta.forEach([&](uint32_t Object) {
+          addEdge(Src, fieldNode(Object, FieldId(FieldRaw)));
+        });
+      }
+      // VCALL rule: dispatch on every new receiver object.
+      CtxId Ctx(Nodes[N].CtxRaw);
+      for (size_t I = 0; I < Uses[UseSlot].CallUses.size(); ++I) {
+        SiteId Site(Uses[UseSlot].CallUses[I]);
+        Delta.forEach([&](uint32_t Object) { dispatch(Site, Ctx, Object); });
+      }
     }
     // Copy edges (MOVE / INTERPROCASSIGN / field flow): one batched union
     // of the whole delta per edge.  Delta is a drained local, so a
@@ -424,9 +482,11 @@ private:
     // Type-filtered edges (checked casts, catch clauses) and their
     // complements (uncaught-exception propagation): materialize the
     // admitted subset of the delta once per edge, then one batched union.
+    if (UseSlot == NoSlot)
+      return;
     for (bool Negated : {false, true}) {
-      for (uint64_t Packed :
-           Negated ? Nodes[N].NegFilterSucc : Nodes[N].FilterSucc) {
+      for (uint64_t Packed : Negated ? Uses[UseSlot].NegFilterSucc
+                                     : Uses[UseSlot].FilterSucc) {
         uint32_t Dst = static_cast<uint32_t>(Packed >> 32);
         uint32_t FilterTypeRaw = static_cast<uint32_t>(Packed);
         FilterScratch.clear();
@@ -479,14 +539,13 @@ private:
 
   void dispatch(SiteId SiteHandle, CtxId CallerCtx, uint32_t Object) {
     const SiteInfo &Site = Prog.site(SiteHandle);
-    auto [HeapRaw, HCtxRaw] = Objects[Object];
-    HeapId Heap(HeapRaw);
-    MethodId Callee = Prog.lookup(Prog.heap(Heap).Type, Site.Sig);
+    MethodId Callee = Prog.lookup(TypeId(ObjectType[Object]), Site.Sig);
     if (!Callee.isValid())
       return; // No method matches the signature: dispatch failure.
 
-    CtxId CalleeCtx = Policy.merge(Heap, HCtxId(HCtxRaw), SiteHandle, Callee,
-                                   CallerCtx, Ctxs);
+    CtxId CalleeCtx =
+        Policy.merge(HeapId(ObjectHeap[Object]), HCtxId(ObjectHCtx[Object]),
+                     SiteHandle, Callee, CallerCtx, Ctxs);
     recordCallEdge(SiteHandle, CallerCtx, Callee, CalleeCtx);
     enqueueReachable(Callee, CalleeCtx);
     addObjectTo(varNode(Prog.method(Callee).This, CalleeCtx), Object);
@@ -528,8 +587,8 @@ private:
       case InstrKind::Load: {
         uint32_t Base = varNode(Instr.Base, Ctx);
         uint32_t Dst = varNode(Instr.To, Ctx);
-        Nodes[Base].LoadUses.push_back({Instr.Field.index(), Dst});
-        ApproxBytes += sizeof(Nodes[Base].LoadUses[0]);
+        uses(Base).LoadUses.push_back({Instr.Field.index(), Dst});
+        ApproxBytes += sizeof(NodeUses::LoadUses[0]);
         SortedIdSet Snapshot = Nodes[Base].Pts.toVector();
         for (uint32_t Object : Snapshot)
           addEdge(fieldNode(Object, Instr.Field), Dst);
@@ -538,8 +597,8 @@ private:
       case InstrKind::Store: {
         uint32_t Base = varNode(Instr.Base, Ctx);
         uint32_t Src = varNode(Instr.From, Ctx);
-        Nodes[Base].StoreUses.push_back({Instr.Field.index(), Src});
-        ApproxBytes += sizeof(Nodes[Base].StoreUses[0]);
+        uses(Base).StoreUses.push_back({Instr.Field.index(), Src});
+        ApproxBytes += sizeof(NodeUses::StoreUses[0]);
         SortedIdSet Snapshot = Nodes[Base].Pts.toVector();
         for (uint32_t Object : Snapshot)
           addEdge(Src, fieldNode(Object, Instr.Field));
@@ -565,7 +624,7 @@ private:
           break;
         }
         uint32_t Base = varNode(Site.Base, Ctx);
-        Nodes[Base].CallUses.push_back(Instr.Site.index());
+        uses(Base).CallUses.push_back(Instr.Site.index());
         ApproxBytes += sizeof(uint32_t);
         SortedIdSet Snapshot = Nodes[Base].Pts.toVector();
         for (uint32_t Object : Snapshot)
@@ -588,7 +647,7 @@ private:
     TRACE_COUNTER("solve.reachable_method_contexts", ReachableList.size());
     TRACE_COUNTER("solve.call_graph_edges", CallEdgeProjection.size());
     TRACE_COUNTER("solve.nodes", Nodes.size());
-    TRACE_COUNTER("solve.objects", Objects.size());
+    TRACE_COUNTER("solve.objects", ObjectHeap.size());
 
     PointsToResult Result;
     Result.Status = Status;
@@ -643,19 +702,20 @@ private:
         if (Opts.KeepTuples)
           for (uint32_t Object : NodeRef.Pts)
             Result.VarPointsTo.push_back({High, NodeRef.CtxRaw,
-                                          Objects[Object].first,
-                                          Objects[Object].second});
+                                          ObjectHeap[Object],
+                                          ObjectHCtx[Object]});
         break;
       case NodeKindField: {
         FieldTuples += NodeRef.Pts.size();
-        auto [BaseHeap, BaseHCtx] = Objects[High];
+        uint32_t BaseHeap = ObjectHeap[High];
+        uint32_t BaseHCtx = ObjectHCtx[High];
         NodeSlot[N] =
             keyedSlot(FieldSlots, Result.FieldHeaps, pack(BaseHeap, Low));
         if (Opts.KeepTuples)
           for (uint32_t Object : NodeRef.Pts)
             Result.FieldPointsTo.push_back({BaseHeap, BaseHCtx, Low,
-                                            Objects[Object].first,
-                                            Objects[Object].second});
+                                            ObjectHeap[Object],
+                                            ObjectHCtx[Object]});
         break;
       }
       case NodeKindStaticField:
@@ -664,7 +724,7 @@ private:
         if (Opts.KeepTuples)
           for (uint32_t Object : NodeRef.Pts)
             Result.StaticFieldPointsTo.push_back(
-                {Low, Objects[Object].first, Objects[Object].second});
+                {Low, ObjectHeap[Object], ObjectHCtx[Object]});
         break;
       case NodeKindThrow:
         ThrowTuples += NodeRef.Pts.size();
@@ -672,8 +732,8 @@ private:
         if (Opts.KeepTuples)
           for (uint32_t Object : NodeRef.Pts)
             Result.ThrowPointsTo.push_back({High, NodeRef.CtxRaw,
-                                            Objects[Object].first,
-                                            Objects[Object].second});
+                                            ObjectHeap[Object],
+                                            ObjectHCtx[Object]});
         break;
       }
     }
@@ -690,36 +750,40 @@ private:
       BySlot[--SlotBegin[NodeSlot[N]]] = N;
 
     // One pass over every tuple: a set bit in Seen marks a heap the current
-    // slot already holds, so only distinct heaps are pushed.  The slot's
-    // bits are then read back in ascending order and cleared for the next
-    // slot: a slot with more distinct heaps than Seen has words scans the
-    // words (zeroing each), a smaller one sorts its heaps and clears just
-    // their bits.  Either way the cost is at most linear in the heaps.
+    // slot already holds, so only distinct heaps are gathered, into one
+    // scratch vector reused by every slot.  The slot's bits are then read
+    // back in ascending order and cleared for the next slot: a slot with
+    // more distinct heaps than Seen has words scans the words (zeroing
+    // each), a smaller one sorts its heaps and clears just their bits.
+    // Either way the cost is at most linear in the heaps, and the slot's
+    // set is allocated once, at its final size.
     std::vector<uint64_t> Seen((Prog.numHeaps() + 63) / 64, 0);
+    SortedIdSet Gathered;
     for (uint32_t Slot = 0; Slot < SlotSets.size(); ++Slot) {
-      SortedIdSet &Heaps = *SlotSets[Slot];
+      Gathered.clear();
       for (uint32_t I = SlotBegin[Slot]; I < SlotBegin[Slot + 1]; ++I)
         Nodes[BySlot[I]].Pts.forEach([&](uint32_t Object) {
-          uint32_t Heap = Objects[Object].first;
+          uint32_t Heap = ObjectHeap[Object];
           uint64_t Bit = uint64_t(1) << (Heap & 63);
           if (!(Seen[Heap >> 6] & Bit)) {
             Seen[Heap >> 6] |= Bit;
-            Heaps.push_back(Heap);
+            Gathered.push_back(Heap);
           }
         });
-      if (Heaps.size() > Seen.size()) {
+      if (Gathered.size() > Seen.size()) {
         size_t Next = 0;
         for (size_t Word = 0; Word < Seen.size(); ++Word) {
           for (uint64_t Bits = Seen[Word]; Bits != 0; Bits &= Bits - 1)
-            Heaps[Next++] = static_cast<uint32_t>(
+            Gathered[Next++] = static_cast<uint32_t>(
                 (Word << 6) + static_cast<size_t>(__builtin_ctzll(Bits)));
           Seen[Word] = 0;
         }
       } else {
-        std::sort(Heaps.begin(), Heaps.end());
-        for (uint32_t Heap : Heaps)
+        std::sort(Gathered.begin(), Gathered.end());
+        for (uint32_t Heap : Gathered)
           Seen[Heap >> 6] &= ~(uint64_t(1) << (Heap & 63));
       }
+      SlotSets[Slot]->assign(Gathered.begin(), Gathered.end());
     }
 
     for (auto [MethodRaw, CtxRaw] : ReachableList) {
@@ -738,7 +802,7 @@ private:
     uint64_t NumFieldNodes = FieldNodeIndex.size();
     Result.Stats.NumVarNodes = VarNodeIndex.size();
     Result.Stats.NumFieldNodes = NumFieldNodes;
-    Result.Stats.NumObjects = Objects.size();
+    Result.Stats.NumObjects = ObjectHeap.size();
     Result.Stats.NumContexts = Ctxs.numContexts();
     Result.Stats.NumHeapContexts = Ctxs.numHeapContexts();
     Result.Stats.ReachableMethodContexts = ReachableList.size();
@@ -758,6 +822,12 @@ private:
   Timer Clock;
 
   std::vector<Node> Nodes;
+  /// Pending deltas of the queued nodes (Node::DeltaSlot), and the pool
+  /// slots free for reuse: the pool holds at most peak-worklist-depth sets.
+  std::vector<IdSet> Deltas;
+  std::vector<uint32_t> FreeDeltas;
+  /// The use store (Node::UseSlot).  It only grows.
+  std::vector<NodeUses> Uses;
   std::vector<uint8_t> NodeKind;
   std::vector<uint64_t> NodeKey;
   FlatIndex VarNodeIndex;
@@ -766,7 +836,11 @@ private:
   FlatIndex ThrowNodeIndex;
 
   FlatIndex ObjIndex;
-  std::vector<std::pair<uint32_t, uint32_t>> Objects;
+  /// Object columns, indexed by object number: its heap, its heap
+  /// context, and its heap's type (for castAdmits and dispatch).
+  std::vector<uint32_t> ObjectHeap;
+  std::vector<uint32_t> ObjectHCtx;
+  std::vector<uint32_t> ObjectType;
 
   std::vector<uint32_t> Worklist;
   std::vector<std::pair<uint32_t, uint32_t>> PendingReachable;

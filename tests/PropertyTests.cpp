@@ -365,6 +365,32 @@ TEST(DenseHubProperty, OracleAgreementWithPromotedSets) {
   }
 }
 
+// --- Footprint accounting: pinned on a node-heavy program --------------------
+
+TEST(FootprintProperty, ChartFootprintPopsAndMemoryTripArePinned) {
+  // The run reports and Pass-A cache entries carry approx_bytes, and the
+  // degradation ladder's memory budget trips on it, but the fig5 golden
+  // holds neither.  These values are fixed: the solver charges each node a
+  // constant size whatever its in-memory layout, so a layout change must
+  // leave all of them where they are.
+  Program Prog = generateWorkload(dacapoProfile("chart"));
+  auto Policy = makeObjectPolicy(Prog, 2, 1);
+  {
+    ContextTable Table;
+    PointsToResult Full = solvePointsTo(Prog, *Policy, Table);
+    ASSERT_EQ(Full.Status, SolveStatus::Completed);
+    EXPECT_EQ(Full.Stats.ApproxBytes, 6565208u);
+    EXPECT_EQ(Full.Stats.WorklistPops, 13543u);
+  }
+  ContextTable Table;
+  SolverOptions Options;
+  Options.Budget.MaxBytes = 6000000;
+  PointsToResult Tripped = solvePointsTo(Prog, *Policy, Table, Options);
+  EXPECT_EQ(Tripped.Status, SolveStatus::MemoryBudgetExceeded);
+  EXPECT_EQ(Tripped.Stats.WorklistPops, 5659u);
+  EXPECT_EQ(Tripped.Stats.ApproxBytes, 6001096u);
+}
+
 // --- Result assembly: the projections are the tuple dumps, collapsed ---------
 
 namespace {

@@ -307,3 +307,91 @@ TEST(Solver, LateEdgesOnHubUseBatchedPropagation) {
   // actually be in bitmap mode for the batched unions to be word-wise.
   EXPECT_GT(R.Stats.DensePointsToSets, NumConsumers);
 }
+
+TEST(Solver, FootprintPopsAndMemoryTripArePinned) {
+  // The node layout may change; the book-kept footprint may not.  Every
+  // node is charged a fixed size whatever its layout, so approx_bytes,
+  // the pop count and the pop at which a memory budget trips stay where
+  // they were before the compact-node layout.
+  TwoBoxes T = makeTwoBoxes();
+  auto Policy = makeObjectPolicy(T.Prog, 2, 1);
+  PointsToResult Full = solveWith(T.Prog, *Policy);
+  ASSERT_EQ(Full.Status, SolveStatus::Completed);
+  EXPECT_EQ(Full.Stats.ApproxBytes, 8194u);
+  EXPECT_EQ(Full.Stats.WorklistPops, 17u);
+
+  ContextTable Table;
+  SolverOptions Options;
+  Options.Budget.MaxBytes = 8180;
+  PointsToResult Tripped = solvePointsTo(T.Prog, *Policy, Table, Options);
+  EXPECT_EQ(Tripped.Status, SolveStatus::MemoryBudgetExceeded);
+  EXPECT_EQ(Tripped.Stats.WorklistPops, 5u);
+  EXPECT_EQ(Tripped.Stats.ApproxBytes, 8186u);
+}
+
+TEST(Solver, NodeQueuedAgainWhileItsDrainedDeltaIsProcessed) {
+  // m's formal p is a call receiver that is empty when m is instantiated,
+  // so its first dispatch runs while p itself is being processed.  Where
+  // the callee's context equals the caller's (insens, 2typeH), binding the
+  // call's actual q to p adds q's object to Pts(p) mid-pop: p is queued
+  // again, taking a delta slot, before its drained delta is done.  Under
+  // every flavor the same dispatch creates nodes (the catch variable, and
+  // fresh callee contexts) and gives m's throw node its first filtered
+  // edges, so the node array and the use store both reallocate while p's
+  // use lists are being walked.
+  ProgramBuilder B;
+  TypeId Object = B.cls("Object");
+  TypeId A = B.cls("A", Object);
+  TypeId Err = B.cls("Err", Object);
+  MethodBuilder M = B.method(A, "m", 1);
+  VarId P = M.formal(0);
+  VarId Q = M.local("q");
+  HeapId InnerHeap = M.alloc(Q, A);
+  SiteId Inner = M.vcall(VarId::invalid(), P, "m", {Q});
+  VarId Caught = M.local("e");
+  M.attachCatch(Inner, Err, Caught);
+  VarId Thrown = M.local("t");
+  M.alloc(Thrown, Err);
+  M.throwStmt(Thrown);
+  MethodBuilder Main = B.method(Object, "main", 0, /*IsStatic=*/true);
+  B.entry(Main.id());
+  VarId First = Main.local("a");
+  VarId Second = Main.local("b");
+  Main.alloc(First, A);
+  Main.vcall(VarId::invalid(), First, "m", {Second});
+  // Allocated after the call: this object reaches p by a pop, not by the
+  // call's own snapshot dispatch.
+  HeapId SecondHeap = Main.alloc(Second, A);
+  Program Prog = B.take();
+
+  std::vector<std::unique_ptr<ContextPolicy>> Policies;
+  Policies.push_back(makeInsensitivePolicy());
+  Policies.push_back(makeCallSitePolicy(2, 1));
+  Policies.push_back(makeObjectPolicy(Prog, 1, 0));
+  Policies.push_back(makeObjectPolicy(Prog, 2, 1));
+  Policies.push_back(makeTypePolicy(Prog, 2, 1));
+  Policies.push_back(makeHybridPolicy(Prog, 2, 1));
+  for (auto &Policy : Policies) {
+    ContextTable Table;
+    SolverOptions Options;
+    Options.KeepTuples = true;
+    PointsToResult R = solvePointsTo(Prog, *Policy, Table, Options);
+    ASSERT_EQ(R.Status, SolveStatus::Completed) << Policy->name();
+    EXPECT_TRUE(pointsTo(R, P, SecondHeap)) << Policy->name();
+    EXPECT_TRUE(pointsTo(R, P, InnerHeap)) << Policy->name();
+    EXPECT_FALSE(R.pointsTo(Caught).empty()) << Policy->name();
+
+    DatalogReferenceResult Reference =
+        runDatalogReference(Prog, *Policy, Table);
+    ASSERT_FALSE(Reference.BudgetExceeded);
+    auto Sorted = [](auto Tuples) {
+      std::sort(Tuples.begin(), Tuples.end());
+      return Tuples;
+    };
+    EXPECT_EQ(Sorted(R.VarPointsTo), Reference.VarPointsTo) << Policy->name();
+    EXPECT_EQ(Sorted(R.ThrowPointsTo), Reference.ThrowPointsTo)
+        << Policy->name();
+    EXPECT_EQ(Sorted(R.Reachable), Reference.Reachable) << Policy->name();
+    EXPECT_EQ(Sorted(R.CallGraph), Reference.CallGraph) << Policy->name();
+  }
+}
