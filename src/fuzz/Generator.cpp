@@ -19,9 +19,9 @@ using namespace intro::fuzz;
 namespace {
 
 /// Builds one program: a planted pathological shape (per bias) surrounded by
-/// uniform random noise.  Mirrors workload/Random.cpp's RandomGen but keeps
-/// its own class/field/method pools so the planted structure is never
-/// accidentally diluted by the noise phase.
+/// uniform random noise.  The planted classes and fields join the noise's
+/// pools, but the planted methods do not, so the noise phase never adds to
+/// their bodies and the planted structure is never diluted.
 class FuzzGen {
 public:
   FuzzGen(uint64_t Seed, FuzzBias Bias, const FuzzProgramOptions &Options)
@@ -230,7 +230,7 @@ private:
     MainPool.push_back(Never);
   }
 
-  // --- Uniform noise (mirrors workload/Random.cpp) -----------------------
+  // --- Uniform noise -------------------------------------------------------
 
   void makeNoiseClasses() {
     for (uint32_t Index = 0; Index < Opt.NumClasses; ++Index) {

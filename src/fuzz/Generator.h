@@ -5,19 +5,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The differential fuzzer's program generator.  workload/Random.h draws
-/// every instruction independently, which explores *local* corner cases but
-/// rarely builds the global shapes where the layered optimizations can go
-/// wrong: hub sets dense enough to promote to bitmaps, call chains deep
-/// enough to exercise context truncation, cast lattices that split dense
-/// sets, hierarchies degenerate enough to stress dispatch, and empty or
-/// duplicated structure that tickles delta-propagation bookkeeping.
+/// The project's one random-program generator, used by the differential
+/// fuzzer, the property suites and the benchmark corpus.  Drawing every
+/// instruction independently (the Uniform bias) explores *local* corner
+/// cases (self-moves, self-calling statics, dispatch failures, casts that
+/// always fail) but rarely builds the global shapes where the layered
+/// optimizations can go wrong: hub sets dense enough to promote to bitmaps,
+/// call chains deep enough to exercise context truncation, cast lattices
+/// that split dense sets, hierarchies degenerate enough to stress dispatch,
+/// and empty or duplicated structure that tickles delta-propagation
+/// bookkeeping.
 ///
-/// Each FuzzBias plants one such shape deliberately (sized by the seed) and
-/// then sprinkles uniform random instructions on top, so every generated
-/// program is both *structured* (the pathology is really there) and *noisy*
-/// (the surrounding code varies per seed).  Everything is deterministic in
-/// (Seed, Bias, Options): same inputs, byte-identical printProgram output.
+/// Each other FuzzBias plants one such shape deliberately (sized by the
+/// seed) and then sprinkles the same uniform random instructions on top, so
+/// every generated program is both *structured* (the pathology is really
+/// there) and *noisy* (the surrounding code varies per seed).  Everything
+/// is deterministic in (Seed, Bias, Options): same inputs, byte-identical
+/// printProgram output.
 ///
 //===----------------------------------------------------------------------===//
 

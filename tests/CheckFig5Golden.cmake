@@ -1,9 +1,10 @@
 # Figure-5 golden check: run bench/fig5_object_sens with tracing on and
-# byte-compare the run report's `deterministic` section, dumped exactly as
-# CI's perf smoke dumps it (json.dumps(..., indent=1, sort_keys=True) plus a
-# newline), with the committed bench/golden/fig5_deterministic.json.  The
+# byte-compare the run report's `deterministic` section, dumped with
+# json.dumps(..., indent=1, sort_keys=True) plus a newline (the format of
+# the committed golden), with bench/golden/fig5_deterministic.json.  The
 # section pins relation sizes, worklist pops and trace counters, so any diff
-# means the solver changed results, not just speed.
+# means the solver changed results, not just speed.  This is the repository's
+# only golden comparison; CI runs it in the Test step of every lane.
 #
 # Run as: cmake -DFIG5=<path> -DPYTHON=<python3> -DGOLDEN=<json>
 #               -DWORK_DIR=<dir> -P CheckFig5Golden.cmake

@@ -6,11 +6,12 @@
 ///
 /// \file
 /// src/fuzz/ unit tests: generator determinism (byte-identical programs per
-/// seed) and validity across every bias, mutator determinism and
-/// never-crash, parse→print→parse fixpoint over the checked-in corpus,
-/// oracle cleanliness on the known-good fixtures, planted-bug detection for
-/// every bug double, reducer convergence to a tiny repro, and campaign
-/// determinism across worker counts.
+/// seed), validity across every bias, the size knobs, the local corner
+/// cases the Uniform seeds of the property suites rely on, mutator
+/// determinism and never-crash, parse→print→parse fixpoint over the
+/// checked-in corpus, oracle cleanliness on the known-good fixtures,
+/// planted-bug detection for every bug double, reducer convergence to a tiny
+/// repro, and campaign determinism across worker counts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +30,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -89,6 +91,99 @@ TEST(FuzzGenerator, EveryBiasYieldsValidatedPrograms) {
       EXPECT_GT(Prog.numMethods(), 0u);
     }
   }
+}
+
+TEST(FuzzGenerator, UniformValidAcrossManySeeds) {
+  for (uint64_t Seed = 100; Seed < 200; ++Seed) {
+    Program Prog = generateFuzzProgram(Seed, FuzzBias::Uniform);
+    auto Errors = validateProgram(Prog);
+    ASSERT_TRUE(Errors.empty())
+        << "seed " << Seed << ": " << (Errors.empty() ? "" : Errors[0]);
+  }
+}
+
+TEST(FuzzGenerator, OptionsControlSize) {
+  FuzzProgramOptions Small;
+  Small.NumClasses = 2;
+  Small.NumStaticMethods = 1;
+  Small.InstructionsPerBody = 3;
+  FuzzProgramOptions Large;
+  Large.NumClasses = 12;
+  Large.NumStaticMethods = 8;
+  Large.InstructionsPerBody = 20;
+  Program A = generateFuzzProgram(7, FuzzBias::Uniform, Small);
+  Program B = generateFuzzProgram(7, FuzzBias::Uniform, Large);
+  EXPECT_LT(A.numInstructions(), B.numInstructions());
+  EXPECT_LT(A.numTypes(), B.numTypes());
+}
+
+namespace {
+
+/// How often a program holds each of four local corner cases that Uniform
+/// programs get only from their random noise.  The two flow-dependent ones
+/// are read off an insensitive solve.
+struct CornerCases {
+  size_t SelfMoves = 0;              ///< `v = v`.
+  size_t SelfCallingStatics = 0;     ///< A static method calling itself.
+  size_t ReceiversWithoutTarget = 0; ///< A virtual site whose receiver has
+                                     ///< objects but no dispatch target.
+  size_t CastsNothingPasses = 0;     ///< A cast whose source has objects,
+                                     ///< none of them of the cast type.
+};
+
+CornerCases countCornerCases(const Program &Prog) {
+  auto Insens = makeInsensitivePolicy();
+  ContextTable Table;
+  PointsToResult R = solvePointsTo(Prog, *Insens, Table);
+  CornerCases Cases;
+  for (uint32_t Raw = 0; Raw < Prog.numMethods(); ++Raw) {
+    const MethodInfo &Method = Prog.method(MethodId(Raw));
+    for (const Instruction &Instr : Method.Body) {
+      if (Instr.Kind == InstrKind::Move && Instr.To == Instr.From)
+        ++Cases.SelfMoves;
+      if (Instr.Kind == InstrKind::Cast) {
+        const SortedIdSet &Source = R.pointsTo(Instr.From);
+        if (!Source.empty() &&
+            std::none_of(Source.begin(), Source.end(), [&](uint32_t Heap) {
+              return Prog.isSubtypeOf(Prog.heap(HeapId(Heap)).Type,
+                                      Instr.CastType);
+            }))
+          ++Cases.CastsNothingPasses;
+      }
+      if (Instr.Kind != InstrKind::Call)
+        continue;
+      const SiteInfo &Site = Prog.site(Instr.Site);
+      if (Site.IsStatic && Site.StaticTarget == MethodId(Raw))
+        ++Cases.SelfCallingStatics;
+      if (!Site.IsStatic && !R.pointsTo(Site.Base).empty() &&
+          R.callTargets(Instr.Site).empty())
+        ++Cases.ReceiversWithoutTarget;
+    }
+  }
+  return Cases;
+}
+
+} // namespace
+
+TEST(FuzzGenerator, UniformSeedsCoverTheCornerCases) {
+  // RandomProgramProperty sweeps Uniform seeds 1-32 through every oracle;
+  // between them those programs must keep each corner case present.
+  size_t SelfMoves = 0;
+  size_t SelfCallingStatics = 0;
+  size_t ReceiversWithoutTarget = 0;
+  size_t CastsNothingPasses = 0;
+  for (uint64_t Seed = 1; Seed <= 32; ++Seed) {
+    CornerCases Cases =
+        countCornerCases(generateFuzzProgram(Seed, FuzzBias::Uniform));
+    SelfMoves += Cases.SelfMoves > 0;
+    SelfCallingStatics += Cases.SelfCallingStatics > 0;
+    ReceiversWithoutTarget += Cases.ReceiversWithoutTarget > 0;
+    CastsNothingPasses += Cases.CastsNothingPasses > 0;
+  }
+  EXPECT_GT(SelfMoves, 0u);
+  EXPECT_GT(SelfCallingStatics, 0u);
+  EXPECT_GT(ReceiversWithoutTarget, 0u);
+  EXPECT_GT(CastsNothingPasses, 0u);
 }
 
 TEST(FuzzGenerator, BiasNamesRoundTrip) {

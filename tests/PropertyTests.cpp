@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Property-based tests over random programs (workload/Random.h), swept by
-/// seed with TEST_P:
+/// Property-based tests over random programs (the Uniform bias of
+/// fuzz/Generator.h), swept by seed with TEST_P:
 ///   - structural validity of every generated program;
 ///   - solver == Datalog reference, tuple for tuple, per context flavor;
 ///   - soundness: dynamic facts are a subset of every analysis result;
@@ -30,7 +30,6 @@
 #include "ir/Validator.h"
 #include "workload/DaCapo.h"
 #include "workload/Generator.h"
-#include "workload/Random.h"
 
 #include <gtest/gtest.h>
 
@@ -46,7 +45,9 @@ namespace {
 
 class RandomProgramProperty : public ::testing::TestWithParam<uint64_t> {
 protected:
-  Program makeProgram() const { return generateRandomProgram(GetParam()); }
+  Program makeProgram() const {
+    return fuzz::generateFuzzProgram(GetParam(), fuzz::FuzzBias::Uniform);
+  }
 };
 
 std::vector<std::unique_ptr<ContextPolicy>> allFlavors(const Program &Prog) {
@@ -240,13 +241,14 @@ class LargeRandomProgramProperty : public ::testing::TestWithParam<uint64_t> {
 };
 
 TEST_P(LargeRandomProgramProperty, OracleAgreementAtScale) {
-  RandomProgramOptions Options;
+  fuzz::FuzzProgramOptions Options;
   Options.NumClasses = 12;
   Options.NumVirtualSigs = 5;
   Options.NumStaticMethods = 6;
   Options.InstructionsPerBody = 14;
   Options.LocalsPerMethod = 6;
-  Program Prog = generateRandomProgram(GetParam(), Options);
+  Program Prog =
+      fuzz::generateFuzzProgram(GetParam(), fuzz::FuzzBias::Uniform, Options);
   ASSERT_TRUE(validateProgram(Prog).empty());
 
   bool ComparedAny = false;

@@ -7,7 +7,6 @@
 #include "frontend/Printer.h"
 #include "ir/Validator.h"
 #include "workload/DaCapo.h"
-#include "workload/Random.h"
 
 #include <gtest/gtest.h>
 
@@ -105,38 +104,6 @@ TEST(Generator, EmptyPathologyMeansNoHubClients) {
   EXPECT_TRUE(validateProgram(Prog).empty());
   for (uint32_t Type = 0; Type < Prog.numTypes(); ++Type)
     EXPECT_NE(Prog.typeName(TypeId(Type)).substr(0, 6), "Client");
-}
-
-TEST(RandomPrograms, ValidAcrossManySeeds) {
-  for (uint64_t Seed = 100; Seed < 200; ++Seed) {
-    Program Prog = generateRandomProgram(Seed);
-    auto Errors = validateProgram(Prog);
-    ASSERT_TRUE(Errors.empty())
-        << "seed " << Seed << ": " << (Errors.empty() ? "" : Errors[0]);
-  }
-}
-
-TEST(RandomPrograms, DeterministicInSeed) {
-  Program A = generateRandomProgram(42);
-  Program B = generateRandomProgram(42);
-  EXPECT_EQ(printProgram(A), printProgram(B));
-  Program C = generateRandomProgram(43);
-  EXPECT_NE(printProgram(A), printProgram(C));
-}
-
-TEST(RandomPrograms, OptionsControlSize) {
-  RandomProgramOptions Small;
-  Small.NumClasses = 2;
-  Small.NumStaticMethods = 1;
-  Small.InstructionsPerBody = 3;
-  RandomProgramOptions Large;
-  Large.NumClasses = 12;
-  Large.NumStaticMethods = 8;
-  Large.InstructionsPerBody = 20;
-  Program A = generateRandomProgram(7, Small);
-  Program B = generateRandomProgram(7, Large);
-  EXPECT_LT(A.numInstructions(), B.numInstructions());
-  EXPECT_LT(A.numTypes(), B.numTypes());
 }
 
 class ProfileSweep : public ::testing::TestWithParam<int> {};
